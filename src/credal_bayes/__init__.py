@@ -40,6 +40,7 @@ from .bayes import (
     LikelihoodSet,
     PosteriorQuery,
     PosteriorReport,
+    bang_bang_likelihood,
     bounds_report,
     check_preserved_concavity,
     lower_bound,
@@ -49,7 +50,6 @@ from .bayes import (
 )
 from .oracle import (
     OracleResult,
-    bang_bang_likelihood,
     brute_force_upper,
     precise_posterior,
     verify_theorem,

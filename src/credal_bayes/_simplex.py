@@ -1,11 +1,17 @@
-"""Dense two-phase tableau simplex, in float and exact-rational flavours.
+"""Dense two-phase tableau simplex over floats or exact rationals.
 
-Both solvers run the same algorithm: slacks for <= rows, one artificial
-per equality row, phase 1 minimizing total artificial mass, phase 2 on
-the real objective with artificial columns banned. Entering and leaving
-variables follow Bland's rule; the core polytopes this package optimizes
-over are highly degenerate and Bland's rule is the simple way to rule
-out cycling.
+One solver serves both arithmetic modes. The field follows the inputs:
+when every coefficient is an int or a Fraction the tableau holds
+Fractions and every comparison is exact; otherwise it holds floats and
+compares at 1e-9 (ratio ties at 1e-12, relative). The programs it sees
+are small: the core LPs in :mod:`.optim` grow their rows one cutting
+plane at a time.
+
+The algorithm: slacks for <= rows, one artificial per equality row,
+phase 1 minimizing total artificial mass, phase 2 on the real objective
+with artificial columns banned. Entering and leaving variables follow
+Bland's rule; the core polytopes this package optimizes over are highly
+degenerate and Bland's rule is the simple way to rule out cycling.
 
 Preconditions: all variables are nonnegative and every <= row has a
 nonnegative right-hand side (equality rows are sign-flipped as needed).
@@ -16,14 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-import numpy as np
+from ._numeric import all_exact, opt_tol, struct_tol
 
-from ._numeric import to_fraction
-
-ENTER_TOL = 1e-9
-PIVOT_TOL = 1e-9
-FEAS_TOL = 1e-9
 _MAX_ITER = 100_000
 
 
@@ -35,229 +37,112 @@ class LPSolution:
     infeasibility: object     # phase-1 artificial residual
 
 
-# ---------------------------------------------------------------------------
-# float backend (numpy tableau)
-# ---------------------------------------------------------------------------
-
-
-def solve_float(objective, a_ub, b_ub, a_eq, b_eq, maximize=True, feas_tol=FEAS_TOL) -> LPSolution:
-    obj = np.asarray(objective, dtype=float)
-    n = obj.size
-    mu, me = len(b_ub), len(b_eq)
-    rows, cols = mu + me, n + mu + me
-    T = np.zeros((rows, cols + 1))  # last column is the rhs
-    if mu:
-        T[:mu, :n] = np.asarray(a_ub, dtype=float).reshape(mu, n)
-        T[:mu, -1] = np.asarray(b_ub, dtype=float)
-        if (T[:mu, -1] < 0).any():
-            raise ValueError("<= rows need nonnegative right-hand sides")
-        T[np.arange(mu), n + np.arange(mu)] = 1.0
-    for k in range(me):
-        row = np.asarray(a_eq[k], dtype=float)
-        rhs = float(b_eq[k])
-        if rhs < 0:
-            row, rhs = -row, -rhs
-        T[mu + k, :n] = row
-        T[mu + k, n + mu + k] = 1.0
-        T[mu + k, -1] = rhs
-    basis = list(range(n, n + mu)) + list(range(n + mu, cols))
-    banned = np.zeros(cols, dtype=bool)
-    banned[n + mu:] = True
-
-    cost = np.zeros(cols)
-    cost[n + mu:] = -1.0
-    r = _reduced_float(cost, T, basis)
-    if _iterate_float(T, basis, r, banned=None) == "unbounded":
-        raise ArithmeticError("phase 1 cannot be unbounded")
-    infeas = float(sum(T[i, -1] for i in range(rows) if basis[i] >= n + mu))
-    if infeas > feas_tol:
-        return LPSolution("infeasible", None, None, infeas)
-    _evict_artificials_float(T, basis, n + mu)
-
-    cost = np.zeros(cols)
-    cost[:n] = obj if maximize else -obj
-    r = _reduced_float(cost, T, basis)
-    r[banned] = 0.0
-    status = _iterate_float(T, basis, r, banned=banned)
-    if status == "unbounded":
-        return LPSolution("unbounded", None, None, infeas)
-    x = np.zeros(n)
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = T[i, -1]
-    value = float(np.dot(obj, x))
-    return LPSolution("optimal", tuple(x.tolist()), value, infeas)
-
-
-def _reduced_float(cost, T, basis):
-    r = cost.copy()
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb:
-            r -= cb * T[i, :-1]
-    return r
-
-
-def _iterate_float(T, basis, r, banned):
-    for _ in range(_MAX_ITER):
-        mask = r > ENTER_TOL
-        if banned is not None:
-            mask &= ~banned
-        js = np.nonzero(mask)[0]
-        if js.size == 0:
-            return "optimal"
-        j = int(js[0])  # Bland: lowest eligible index
-        col = T[:, j]
-        pos = np.nonzero(col > PIVOT_TOL)[0]
-        if pos.size == 0:
-            return "unbounded"
-        ratios = T[pos, -1] / col[pos]
-        rmin = ratios.min()
-        near = pos[ratios <= rmin + 1e-12 * (1.0 + abs(rmin))]
-        i = int(near[np.argmin([basis[k] for k in near])])
-        _pivot_float(T, basis, r, i, j)
-    raise ArithmeticError("simplex iteration limit exceeded")
-
-
-def _pivot_float(T, basis, r, i, j):
-    T[i] /= T[i, j]
-    col = T[:, j].copy()
-    col[i] = 0.0
-    T -= np.outer(col, T[i])
-    T[:, j] = 0.0
-    T[i, j] = 1.0
-    if r is not None and r[j]:
-        r -= r[j] * T[i, :-1]
-        r[j] = 0.0
-    np.maximum(T[:, -1], 0.0, out=T[:, -1])  # clip degeneracy noise
-    basis[i] = j
-
-
-def _evict_artificials_float(T, basis, first_art):
-    for i in range(T.shape[0]):
-        if basis[i] >= first_art:
-            row = T[i, :first_art]
-            js = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
-            if js.size:
-                _pivot_float(T, basis, None, i, int(js[0]))
-            # else: redundant row, harmless to keep
-
-
-# ---------------------------------------------------------------------------
-# exact backend (Fraction tableau)
-# ---------------------------------------------------------------------------
-
-
-def solve_exact(objective, a_ub, b_ub, a_eq, b_eq, maximize=True) -> LPSolution:
-    obj = [to_fraction(v) for v in objective]
+def solve(objective, a_ub, b_ub, a_eq, b_eq, maximize=True) -> LPSolution:
+    exact = all_exact(chain(objective, b_ub, b_eq, *a_ub, *a_eq))
+    num = Fraction if exact else float
+    tol, tie = opt_tol(exact), struct_tol(exact)
+    zero, one = num(0), num(1)
+    obj = [num(v) for v in objective]
     n = len(obj)
     mu, me = len(b_ub), len(b_eq)
     cols = n + mu + me
-    zero = Fraction(0)
-    T: list[list[Fraction]] = []
+    T: list[list] = []
     for i in range(mu):
-        rhs = to_fraction(b_ub[i])
+        rhs = num(b_ub[i])
         if rhs < 0:
             raise ValueError("<= rows need nonnegative right-hand sides")
-        row = [to_fraction(v) for v in a_ub[i]] + [zero] * (mu + me) + [rhs]
-        row[n + i] = Fraction(1)
+        row = [num(v) for v in a_ub[i]] + [zero] * (mu + me) + [rhs]
+        row[n + i] = one
         T.append(row)
     for k in range(me):
-        coeffs = [to_fraction(v) for v in a_eq[k]]
-        rhs = to_fraction(b_eq[k])
-        if rhs < 0:
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-        row = coeffs + [zero] * (mu + me) + [rhs]
-        row[n + mu + k] = Fraction(1)
+        row = [num(v) for v in a_eq[k]] + [zero] * (mu + me) + [num(b_eq[k])]
+        if row[-1] < 0:
+            row = [-v for v in row]
+        row[n + mu + k] = one
         T.append(row)
-    basis = list(range(n, n + mu)) + list(range(n + mu, cols))
+    basis = list(range(n, cols))
 
-    cost = [zero] * cols
-    for j in range(n + mu, cols):
-        cost[j] = Fraction(-1)
-    r = _reduced_exact(cost, T, basis, cols)
-    if _iterate_exact(T, basis, r, banned=None, cols=cols) == "unbounded":
+    # Cost rows carry a trailing rhs slot so they line up with tableau
+    # rows; that slot is never read.
+    cost = [zero] * (n + mu) + [-one] * me + [zero]
+    r = _reduced(cost, T, basis)
+    if _iterate(T, basis, r, cols, tol, tie) == "unbounded":
         raise ArithmeticError("phase 1 cannot be unbounded")
     infeas = sum((T[i][-1] for i in range(len(T)) if basis[i] >= n + mu), zero)
-    if infeas > 0:
+    if infeas > tol:
         return LPSolution("infeasible", None, None, infeas)
-    _evict_artificials_exact(T, basis, n + mu)
+    _evict_artificials(T, basis, n + mu, tol)
 
-    cost = [zero] * cols
-    for j in range(n):
-        cost[j] = obj[j] if maximize else -obj[j]
-    r = _reduced_exact(cost, T, basis, cols)
-    banned = set(range(n + mu, cols))
-    for j in banned:
-        r[j] = zero
-    status = _iterate_exact(T, basis, r, banned=banned, cols=cols)
-    if status == "unbounded":
+    cost = [v if maximize else -v for v in obj] + [zero] * (mu + me + 1)
+    r = _reduced(cost, T, basis)
+    if _iterate(T, basis, r, n + mu, tol, tie) == "unbounded":
         return LPSolution("unbounded", None, None, infeas)
     x = [zero] * n
     for i, b in enumerate(basis):
         if b < n:
             x[b] = T[i][-1]
-    value = sum((obj[j] * x[j] for j in range(n)), zero)
+    value = sum((o * v for o, v in zip(obj, x)), zero)
     return LPSolution("optimal", tuple(x), value, infeas)
 
 
-def _reduced_exact(cost, T, basis, cols):
+def _reduced(cost, T, basis):
     r = list(cost)
-    for i, b in enumerate(basis):
+    for row, b in zip(T, basis):
         cb = cost[b]
         if cb:
-            row = T[i]
-            for j in range(cols):
-                if row[j]:
-                    r[j] -= cb * row[j]
+            r = [a - cb * v for a, v in zip(r, row)]
     return r
 
 
-def _iterate_exact(T, basis, r, banned, cols):
+def _iterate(T, basis, r, eligible, tol, tie):
+    """Pivot until no column below ``eligible`` has reduced cost above ``tol``."""
     for _ in range(_MAX_ITER):
-        j = -1
-        for k in range(cols):
-            if r[k] > 0 and (banned is None or k not in banned):
-                j = k
+        for j in range(eligible):
+            if r[j] > tol:
                 break
-        if j < 0:
+        else:
             return "optimal"
-        best_i, best_ratio = -1, None
-        for i in range(len(T)):
-            piv = T[i][j]
-            if piv > 0:
-                ratio = T[i][-1] / piv
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[best_i])):
-                    best_i, best_ratio = i, ratio
-        if best_i < 0:
+        best = -1
+        for i, row in enumerate(T):
+            if row[j] > tol:
+                ratio = row[-1] / row[j]
+                if best < 0 or ratio < rmin:
+                    best, rmin = i, ratio
+        if best < 0:
             return "unbounded"
-        _pivot_exact(T, basis, r, best_i, j)
+        # Bland: among the (near-)minimal ratios the lowest basic index leaves
+        near = rmin + tie * (1 + abs(rmin))
+        for i, row in enumerate(T):
+            if basis[i] < basis[best] and row[j] > tol and row[-1] / row[j] <= near:
+                best = i
+        _pivot(T, basis, r, best, j)
     raise ArithmeticError("simplex iteration limit exceeded")
 
 
-def _pivot_exact(T, basis, r, i, j):
+def _pivot(T, basis, r, i, j):
     piv = T[i][j]
     if piv != 1:
         T[i] = [v / piv for v in T[i]]
     row = T[i]
-    for k in range(len(T)):
-        if k != i and T[k][j]:
-            f = T[k][j]
-            T[k] = [a - f * b for a, b in zip(T[k], row)]
+    nonzero = [k for k, v in enumerate(row) if v]
+    for other in T:
+        f = other[j]
+        if f and other is not row:
+            for k in nonzero:
+                other[k] -= f * row[k]
+            if other[-1] < 0:
+                other[-1] = 0.0  # float degeneracy noise; exact rhs stay >= 0
     if r is not None and r[j]:
         f = r[j]
-        for k in range(len(r)):
-            if row[k]:
-                r[k] -= f * row[k]
+        for k in nonzero:
+            r[k] -= f * row[k]
     basis[i] = j
 
 
-def _evict_artificials_exact(T, basis, first_art):
-    for i in range(len(T)):
+def _evict_artificials(T, basis, first_art, tol):
+    for i, row in enumerate(T):
         if basis[i] >= first_art:
-            for j in range(first_art):
-                if T[i][j]:
-                    _pivot_exact(T, basis, None, i, j)
-                    break
+            j = next((k for k in range(first_art) if abs(row[k]) > tol), -1)
+            if j >= 0:
+                _pivot(T, basis, None, i, j)
+            # else: redundant row, harmless to keep

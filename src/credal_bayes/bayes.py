@@ -225,6 +225,20 @@ def _choquet_parts(prior: Capacity, likelihoods: LikelihoodSet, event: int):
     return num / den, den
 
 
+def bang_bang_likelihood(likelihoods: LikelihoodSet, mask: int) -> Functional:
+    """Upper envelope on ``mask``, lower envelope elsewhere.
+
+    With ``mask`` the event, this is the likelihood the upper bound
+    effectively evaluates.
+    """
+    space = likelihoods.space
+    vals = tuple(
+        likelihoods.upper.values[i] if mask >> i & 1 else likelihoods.lower.values[i]
+        for i in range(space.n)
+    )
+    return Functional(space, vals)
+
+
 def upper_bound_vertex(q: PosteriorQuery):
     """The LP-based upper bound on the posterior probability of the event."""
     value, _, _ = _vertex_parts(q.prior, q.likelihoods, q.event)
@@ -259,7 +273,7 @@ def bounds_report(q: PosteriorQuery) -> PosteriorReport:
     diagnosis = (
         EqualityDiagnosis.PROVEN_EQUAL if proven else EqualityDiagnosis.BOUND_ONLY
     )
-    extreme = _extreme_for_event(q.likelihoods, q.event)
+    extreme = bang_bang_likelihood(q.likelihoods, q.event)
     return PosteriorReport(
         space=q.space,
         event=q.event,
@@ -273,17 +287,6 @@ def bounds_report(q: PosteriorQuery) -> PosteriorReport:
         achieving_prior=argmax.mass,
         achieving_likelihood=extreme.values,
     )
-
-
-def _extreme_for_event(likelihoods: LikelihoodSet, event: int) -> Functional:
-    """The likelihood the upper bound effectively evaluates: the upper
-    envelope on the event, the lower envelope off it."""
-    space = likelihoods.space
-    vals = tuple(
-        likelihoods.upper.values[i] if event >> i & 1 else likelihoods.lower.values[i]
-        for i in range(space.n)
-    )
-    return Functional(space, vals)
 
 
 def posterior_capacity(prior: Capacity, likelihoods: LikelihoodSet) -> Capacity:

@@ -8,9 +8,7 @@ Three subcommands:
 
 Exit codes: 0 success, 2 validation error, 3 undefined ratio (the event
 is named), 4 chain violation or lost concavity. All output is
-deterministic given the model, flags and seed. ``CREDAL_BAYES_THREADS``
-caps worker threads for event sweeps; results are merged in input order
-so parallelism never changes output.
+deterministic given the model, flags and seed.
 """
 
 from __future__ import annotations
@@ -18,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from ._numeric import OPT_TOL, encode_number
 from .bayes import (
@@ -50,23 +46,6 @@ EXIT_VIOLATION = 4
 MAX_SWEEP_OUTCOMES = 12
 
 
-def max_workers() -> int:
-    raw = os.environ.get("CREDAL_BAYES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = max_workers()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _fmt(x) -> str:
     return f"{float(x):.6g}"
 
@@ -93,11 +72,10 @@ def cmd_update(args) -> int:
     if is_core_empty(model.prior):
         raise InfeasibleCore("the prior core is empty; no posterior exists")
 
-    def one(mask: int):
-        q = PosteriorQuery(model.prior, model.likelihoods, mask, check_core=False)
-        return bounds_report(q)
-
-    reports = _map_ordered(one, masks)
+    reports = [
+        bounds_report(PosteriorQuery(model.prior, model.likelihoods, m, check_core=False))
+        for m in masks
+    ]
 
     posterior = None
     if args.sweep and is_two_alternating(model.prior) and model.likelihoods.envelopes_are_members:

@@ -16,7 +16,7 @@ from ._numeric import encode_number, opt_tol
 from .capacity import Capacity, CheckResult, OutcomeSpace, ProbabilityVector
 from .capacity import is_two_alternating
 from .errors import NotTwoAlternating, SpaceTooLarge
-from .optim import core_feasible
+from .optim import core_feasible, most_violated_event
 
 MAX_VERTEX_OUTCOMES = 10  # n! orderings before deduplication
 
@@ -47,22 +47,15 @@ def core_membership(c: Capacity, p: ProbabilityVector, tol=None) -> CheckResult:
         raise ValueError("capacity and vector live on different spaces")
     if tol is None:
         tol = opt_tol(c.exact and p.exact)
-    table = p.mass_table()
-    worst_mask, worst_gap = None, 0
-    for m in range(c.space.size):
-        gap = table[m] - c.values[m]
-        if gap > tol and gap > worst_gap:
-            worst_mask, worst_gap = m, gap
-    if worst_mask is None:
-        return CheckResult(True)
-    return CheckResult(False, worst_mask)
+    worst = most_violated_event(c, p.mass, tol)
+    return CheckResult(worst is None, worst)
 
 
 def is_core_empty(c: Capacity) -> bool:
     """True when no probability vector is dominated by ``c``.
 
-    Feasibility reuses the LP kernel with a zero objective; verdicts near
-    the boundary are settled in exact arithmetic.
+    Feasibility reuses the cutting-plane LP with a zero objective;
+    verdicts near the boundary are settled in exact arithmetic.
     """
     return not core_feasible(c)
 

@@ -2,10 +2,15 @@
 
 The core of a capacity ``c`` is the polytope of probability vectors
 dominated by ``c`` on every event. Optimizing a linear objective over it
-is a linear program with one domination constraint per proper nonempty
-event plus the simplex constraints. Fast mode solves in floats; when
-both the capacity and the objective are exact rationals the program is
-solved exactly.
+is a linear program with one domination row per proper nonempty event
+plus the simplex row. Those 2**n - 2 rows are never built: the program
+is solved by Kelley's cutting planes. Each round solves the simplex row
+plus an active set of events from scratch, then scans the solution's
+event masses for the most violated event not yet active and adds it.
+The loop stops when no event is violated beyond 1e-12 (exactly nothing
+in rational mode), which usually takes a handful of rows. Fast mode
+solves in floats; when both the capacity and the objective are exact
+rationals the program is solved exactly.
 
 Emptiness detection never flaps: a float phase 1 that lands within 1e-7
 of the feasibility boundary is re-adjudicated with exact rationals on
@@ -15,13 +20,10 @@ the exact binary values of the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-import numpy as np
-
-from ._numeric import to_fraction
-from ._simplex import solve_exact, solve_float
-from .capacity import Capacity, OutcomeSpace, ProbabilityVector
+from ._numeric import struct_tol, to_fraction
+from ._simplex import LPSolution, solve
+from .capacity import Capacity, OutcomeSpace, ProbabilityVector, event_mass_table
 from .choquet import Functional
 from .errors import InfeasibleCore, SpaceTooLarge
 
@@ -44,6 +46,51 @@ class ExpectationBound:
     status: str = "optimal"
 
 
+def most_violated_event(c: Capacity, mass, tol, skip=()) -> int | None:
+    """The event mask on which ``mass`` exceeds ``c`` the most, by more
+    than ``tol``, leaving out the masks in ``skip``; None when there is none."""
+    gaps = [t - v for t, v in zip(event_mass_table(mass, c.space.n), c.values)]
+    for m in skip:
+        gaps[m] = tol
+    worst = max(range(len(gaps)), key=gaps.__getitem__)
+    return worst if gaps[worst] > tol else None
+
+
+def core_lp(c: Capacity, objective, a_eq, b_eq, maximize: bool, exact: bool,
+            scaled: bool = False) -> LPSolution:
+    """Optimize over the core of ``c`` by cutting planes.
+
+    The first ``n`` variables are the prior. With ``scaled`` the next one
+    is a scale t and the domination rows read sum_{i in B} y_i <= c(B) t;
+    the scan then checks y / t. ``a_eq``/``b_eq`` carry the simplex row
+    and anything else the caller needs.
+    """
+    n = c.space.n
+    tol = struct_tol(exact)
+    num = to_fraction if exact else float
+    objective = [num(v) for v in objective]
+    active: list[int] = []
+    a_ub, b_ub = [], []
+    while True:
+        sol = solve(objective, a_ub, b_ub, a_eq, b_eq, maximize=maximize)
+        if sol.status != "optimal":
+            return sol
+        mass = sol.x[:n]
+        if scaled:
+            mass = [v / sol.x[n] for v in mass]
+        m = most_violated_event(c, mass, tol, active)
+        if m is None:
+            return sol
+        active.append(m)
+        row = [m >> i & 1 for i in range(n)]
+        if scaled:
+            a_ub.append(row + [-c.values[m]])
+            b_ub.append(0)
+        else:
+            a_ub.append(row)
+            b_ub.append(c.values[m])
+
+
 def _check_inputs(c: Capacity, f: Functional) -> None:
     if c.space != f.space:
         raise ValueError("capacity and functional live on different spaces")
@@ -53,57 +100,26 @@ def _check_inputs(c: Capacity, f: Functional) -> None:
         )
 
 
-def _float_arrays(c: Capacity):
-    n = c.space.n
-    masks = np.arange(1, c.space.size - 1)  # proper nonempty events
-    a_ub = (masks[:, None] >> np.arange(n)) & 1
-    b_ub = np.asarray([float(c.values[m]) for m in masks])
-    return a_ub.astype(float), b_ub, [np.ones(n)], [1.0]
-
-
-def _exact_arrays(c: Capacity):
-    n = c.space.n
-    one = Fraction(1)
-    a_ub, b_ub = [], []
-    for m in range(1, c.space.size - 1):
-        a_ub.append([one if m >> i & 1 else Fraction(0) for i in range(n)])
-        b_ub.append(to_fraction(c.values[m]))
-    return a_ub, b_ub, [[one] * n], [one]
-
-
 def _solve_core(c: Capacity, objective, maximize: bool, exact: bool):
     """Shared LP path; falls back to exact arithmetic near the feasibility
     boundary so empty-core verdicts are stable."""
-    if exact:
-        sol = solve_exact(objective, *_exact_arrays(c), maximize=maximize)
-        if sol.status == "infeasible":
-            raise InfeasibleCore("the capacity dominates no probability vector")
-        if sol.status != "optimal":
-            raise ArithmeticError(f"core LP reported {sol.status}")
-        return sol
-    sol = solve_float(objective, *_float_arrays(c), maximize=maximize)
+    n = c.space.n
+    sol = core_lp(c, objective, [[1] * n], [1], maximize, exact)
+    if sol.status == "infeasible" and not exact and sol.infeasibility <= AMBIGUOUS_FEAS:
+        exact_c = Capacity(c.space, tuple(map(to_fraction, c.values)), check=False)
+        sol = core_lp(exact_c, objective, [[1] * n], [1], maximize, True)
+        if sol.status == "optimal":
+            sol = LPSolution(
+                sol.status,
+                tuple(float(v) for v in sol.x),
+                float(sol.value),
+                float(sol.infeasibility),
+            )
     if sol.status == "infeasible":
-        if sol.infeasibility > AMBIGUOUS_FEAS:
-            raise InfeasibleCore("the capacity dominates no probability vector")
-        exact_obj = [to_fraction(v) for v in objective]
-        sol = solve_exact(exact_obj, *_exact_arrays(c), maximize=maximize)
-        if sol.status == "infeasible":
-            raise InfeasibleCore("the capacity dominates no probability vector")
-        sol = _floatify(sol)
+        raise InfeasibleCore("the capacity dominates no probability vector")
     if sol.status != "optimal":
         raise ArithmeticError(f"core LP reported {sol.status}")
     return sol
-
-
-def _floatify(sol):
-    from ._simplex import LPSolution
-
-    return LPSolution(
-        sol.status,
-        tuple(float(v) for v in sol.x),
-        float(sol.value),
-        float(sol.infeasibility),
-    )
 
 
 def _vector_from_solution(space: OutcomeSpace, x, exact: bool) -> ProbabilityVector:
@@ -146,12 +162,8 @@ def core_feasible(c: Capacity) -> bool:
         raise SpaceTooLarge(
             f"core feasibility needs n <= {MAX_LP_OUTCOMES}, got {c.space.n}"
         )
-    zero = [0] * c.space.n
-    if c.exact:
-        return solve_exact(zero, *_exact_arrays(c)).status == "optimal"
-    sol = solve_float(zero, *_float_arrays(c))
-    if sol.status == "optimal":
-        return True
-    if sol.infeasibility > AMBIGUOUS_FEAS:
+    try:
+        _solve_core(c, [0] * c.space.n, True, c.exact)
+    except InfeasibleCore:
         return False
-    return solve_exact(zero, *_exact_arrays(c)).status == "optimal"
+    return True

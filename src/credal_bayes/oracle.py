@@ -9,8 +9,8 @@ likelihood) pairs; the ratio is linear-fractional in the prior, so its
 maximum over the polytope sits at a vertex. For arbitrary monotone
 priors the same maximization runs as one linear program per extreme
 likelihood: the standard substitution y = p/evidence, t = 1/evidence
-turns the ratio into a linear objective, and the optimal basic solution
-maps back to a core vertex.
+turns the ratio into a linear objective over the cutting-plane loop of
+:mod:`.optim`, and the optimal basic solution maps back to a core vertex.
 
 Extreme likelihoods are the members of a family, or for a band the
 switch vectors equal to the upper envelope on some event B and the lower
@@ -25,10 +25,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ._numeric import encode_number, opt_tol, to_fraction
-from ._simplex import solve_exact, solve_float
+from ._numeric import encode_number, opt_tol
 from .bayes import (
     EqualityDiagnosis,
     LikelihoodSet,
@@ -36,11 +34,13 @@ from .bayes import (
     PosteriorReport,
     _choquet_parts,
     _vertex_parts,
+    bang_bang_likelihood,
 )
 from .capacity import Capacity, ProbabilityVector, is_two_alternating
 from .choquet import Functional
 from .credal import core_vertices_two_monotone
 from .errors import AllZeroEvidence, ChainViolation, SpaceTooLarge, ZeroEvidence
+from .optim import core_lp
 
 MAX_ORACLE_OUTCOMES = 10
 
@@ -70,16 +70,6 @@ def precise_posterior(p: ProbabilityVector, L: Functional, event: int):
     if den <= 0:
         raise ZeroEvidence("total evidence is zero; the update is undefined")
     return num / den
-
-
-def bang_bang_likelihood(likelihoods: LikelihoodSet, mask: int) -> Functional:
-    """Upper envelope on ``mask``, lower envelope elsewhere."""
-    space = likelihoods.space
-    vals = tuple(
-        likelihoods.upper.values[i] if mask >> i & 1 else likelihoods.lower.values[i]
-        for i in range(space.n)
-    )
-    return Functional(space, vals)
 
 
 def extreme_likelihoods(
@@ -163,34 +153,11 @@ def _fractional_lp(prior: Capacity, e: Functional, event: int):
     evidence normalizes to e . y = 1. Infeasible means no core point has
     positive evidence for this likelihood.
     """
-    space = prior.space
-    n = space.n
+    n = prior.space.n
     exact = prior.exact and e.exact
-    if exact:
-        zero, one = Fraction(0), Fraction(1)
-        a_ub, b_ub = [], []
-        for m in range(1, space.size - 1):
-            row = [one if m >> i & 1 else zero for i in range(n)]
-            row.append(-to_fraction(prior.values[m]))
-            a_ub.append(row)
-            b_ub.append(zero)
-        a_eq = [[one] * n + [-one], [to_fraction(v) for v in e.values] + [zero]]
-        b_eq = [zero, one]
-        obj = [to_fraction(e.values[i]) if event >> i & 1 else zero for i in range(n)]
-        obj.append(zero)
-        sol = solve_exact(obj, a_ub, b_ub, a_eq, b_eq, maximize=True)
-    else:
-        a_ub, b_ub = [], []
-        for m in range(1, space.size - 1):
-            row = [1.0 if m >> i & 1 else 0.0 for i in range(n)]
-            row.append(-float(prior.values[m]))
-            a_ub.append(row)
-            b_ub.append(0.0)
-        a_eq = [[1.0] * n + [-1.0], [float(v) for v in e.values] + [0.0]]
-        b_eq = [0.0, 1.0]
-        obj = [float(e.values[i]) if event >> i & 1 else 0.0 for i in range(n)]
-        obj.append(0.0)
-        sol = solve_float(obj, a_ub, b_ub, a_eq, b_eq, maximize=True)
+    a_eq = [[1] * n + [-1], list(e.values) + [0]]
+    obj = [e.values[i] if event >> i & 1 else 0 for i in range(n)] + [0]
+    sol = core_lp(prior, obj, a_eq, [0, 1], maximize=True, exact=exact, scaled=True)
     if sol.status == "infeasible":
         return None
     if sol.status != "optimal":
@@ -202,7 +169,7 @@ def _fractional_lp(prior: Capacity, e: Functional, event: int):
     if not exact:
         total = sum(mass)
         mass = [v / total for v in mass]
-    vertex = ProbabilityVector(space, tuple(mass))
+    vertex = ProbabilityVector(prior.space, tuple(mass))
     # Report the ratio recomputed at the extracted vertex, not the raw LP
     # objective, so the achieving pair reproduces the value bit for bit.
     return precise_posterior(vertex, e, event), vertex

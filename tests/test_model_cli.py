@@ -156,13 +156,6 @@ class TestUpdate:
         code2, out2, err2 = _run(["update", path2])
         assert code2 == 0, err2
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        path = _write(tmp_path, _base_model())
-        base = _run(["update", path, "--sweep", "--json"])
-        monkeypatch.setenv("CREDAL_BAYES_THREADS", "4")
-        threaded = _run(["update", path, "--sweep", "--json"])
-        assert base == threaded
-
     def test_family_likelihood_reports_bound_only(self, tmp_path):
         doc = _base_model()
         doc["likelihood"] = {"family": [[0.5, 0.1, 0.1], [0.1, 0.5, 0.1]]}

@@ -26,9 +26,9 @@ from credal_bayes.campaign import (
     random_distortion,
     random_monotone_capacity,
 )
-from credal_bayes._simplex import solve_float
 from credal_bayes.errors import InfeasibleCore, SpaceTooLarge
-from credal_bayes.optim import _float_arrays
+from credal_bayes.optim import core_lp
+from credal_bayes.oracle import _fractional_lp
 
 SP2 = OutcomeSpace(("a", "b"))
 SP3 = OutcomeSpace(("t1", "t2", "t3"))
@@ -137,7 +137,8 @@ class TestOptimizer:
             space = _space(rng.randint(2, 5))
             c = random_contamination(rng, space)
             f = _random_functional(rng, space)
-            neg = solve_float([-v for v in f.values], *_float_arrays(c), maximize=True)
+            n = space.n
+            neg = core_lp(c, [-v for v in f.values], [[1] * n], [1], True, exact=False)
             assert inf_expectation(c, f).value == pytest.approx(-neg.value, abs=1e-9)
 
 
@@ -167,23 +168,76 @@ class TestExactMode:
                 sup_expectation(c_float, f_float).value, abs=1e-9
             )
 
+    def test_exact_and_float_agree_on_arbitrary_monotone(self):
+        rng = Random(73)
+        for _ in range(15):
+            space = _space(rng.randint(2, 5))
+            c = random_monotone_capacity(rng, space, exact=True)
+            c_float = Capacity(space, tuple(float(v) for v in c.values))
+            f = Functional(
+                space, tuple(Fraction(rng.randint(1, 24), 24) for _ in range(space.n))
+            )
+            f_float = Functional(space, tuple(float(v) for v in f.values))
+            for opt in (sup_expectation, inf_expectation):
+                assert float(opt(c, f).value) == pytest.approx(
+                    opt(c_float, f_float).value, abs=1e-9
+                )
+            event = rng.randint(1, space.full_mask)
+            exact_ratio, _ = _fractional_lp(c, f, event)
+            float_ratio, _ = _fractional_lp(c_float, f_float, event)
+            assert float(exact_ratio) == pytest.approx(float_ratio, abs=1e-9)
+
+
+def _dense_core_rows(c):
+    """All 2**n - 2 domination rows, built independently of the solver."""
+    n = c.space.n
+    rows = [[float(m >> i & 1) for i in range(n)] for m in range(1, c.space.size - 1)]
+    return rows, [float(c.values[m]) for m in range(1, c.space.size - 1)]
+
 
 def test_cross_check_against_scipy():
     scipy_opt = pytest.importorskip("scipy.optimize")
     rng = Random(71)
-    for _ in range(25):
-        space = _space(rng.randint(2, 5))
+    for _ in range(40):
+        space = _space(rng.randint(2, 9))
         c = random_monotone_capacity(rng, space)
         f = _random_functional(rng, space)
-        a_ub, b_ub, a_eq, b_eq = _float_arrays(c)
+        a_ub, b_ub = _dense_core_rows(c)
+        for sign, opt in ((-1, sup_expectation), (1, inf_expectation)):
+            res = scipy_opt.linprog(
+                [sign * v for v in f.values],
+                A_ub=a_ub,
+                b_ub=b_ub,
+                A_eq=[[1.0] * space.n],
+                b_eq=[1.0],
+                bounds=[(0, None)] * space.n,
+                method="highs",
+            )
+            assert res.status == 0
+            assert opt(c, f).value == pytest.approx(sign * res.fun, abs=1e-7)
+
+
+def test_fractional_lp_against_scipy():
+    # Charnes-Cooper form of max E[e 1_A] / E[e] over the core, variables (y, t)
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = Random(79)
+    for _ in range(40):
+        space = _space(rng.randint(3, 8))
+        n = space.n
+        c = random_monotone_capacity(rng, space)
+        e = _random_functional(rng, space, lo=0.05, hi=1.5)
+        event = rng.randint(1, space.full_mask - 1)
+        a_ub, b_ub = _dense_core_rows(c)
         res = scipy_opt.linprog(
-            [-v for v in f.values],
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=[(0, None)] * space.n,
+            [-v if event >> i & 1 else 0.0 for i, v in enumerate(e.values)] + [0.0],
+            A_ub=[row + [-cap] for row, cap in zip(a_ub, b_ub)],
+            b_ub=[0.0] * len(b_ub),
+            A_eq=[[1.0] * n + [-1.0], list(e.values) + [0.0]],
+            b_eq=[0.0, 1.0],
+            bounds=[(0, None)] * (n + 1),
             method="highs",
         )
         assert res.status == 0
-        assert sup_expectation(c, f).value == pytest.approx(-res.fun, abs=1e-7)
+        value, vertex = _fractional_lp(c, e, event)
+        assert value == pytest.approx(-res.fun, abs=1e-7)
+        assert core_membership(c, vertex)

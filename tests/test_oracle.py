@@ -14,6 +14,7 @@ from credal_bayes import (
     ProbabilityVector,
     additive_capacity,
     brute_force_upper,
+    core_membership,
     epsilon_contamination,
     precise_posterior,
     uniform_vector,
@@ -181,6 +182,17 @@ class TestVerify:
                 EqualityDiagnosis.NUMERICALLY_EQUAL,
                 EqualityDiagnosis.STRICT_GAP,
             )
+
+    @pytest.mark.parametrize("seed, index", [(180517615, 27), (2027325178, 11)])
+    def test_fractional_lp_priors_stay_in_the_core(self, seed, index):
+        # campaign instances whose float Charnes-Cooper LP once returned a
+        # prior outside the core, so the oracle beat the vertex bound
+        rng = Random(seed)
+        for _ in range(index + 1):
+            q = random_query(rng, "arbitrary")
+        verify_theorem(q)  # raises ChainViolation on a broken chain
+        for side in (q, q.complement()):
+            assert core_membership(side.prior, brute_force_upper(side).achieving_prior)
 
     def test_singleton_family_matches_precise_path(self):
         rng = Random(131)
