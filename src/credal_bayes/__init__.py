@@ -27,12 +27,9 @@ from .capacity import (
 )
 from .choquet import Functional, choquet_lower, choquet_upper, indicator
 from .credal import (
-    CredalSet,
     core_membership,
     core_vertices_two_monotone,
     is_core_empty,
-    random_core_points,
-    vertices_to_json,
 )
 from .optim import ExpectationBound, inf_expectation, sup_expectation
 from .bayes import (
@@ -42,11 +39,7 @@ from .bayes import (
     PosteriorReport,
     bang_bang_likelihood,
     bounds_report,
-    check_preserved_concavity,
-    lower_bound,
     posterior_capacity,
-    upper_bound_choquet,
-    upper_bound_vertex,
 )
 from .oracle import (
     OracleResult,
@@ -80,12 +73,9 @@ __all__ = [
     "choquet_lower",
     "choquet_upper",
     "indicator",
-    "CredalSet",
     "core_membership",
     "core_vertices_two_monotone",
     "is_core_empty",
-    "random_core_points",
-    "vertices_to_json",
     "ExpectationBound",
     "inf_expectation",
     "sup_expectation",
@@ -94,11 +84,7 @@ __all__ = [
     "PosteriorQuery",
     "PosteriorReport",
     "bounds_report",
-    "check_preserved_concavity",
-    "lower_bound",
     "posterior_capacity",
-    "upper_bound_choquet",
-    "upper_bound_vertex",
     "OracleResult",
     "bang_bang_likelihood",
     "brute_force_upper",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 
 # Structural checks: normalization, monotonicity, vertex deduplication.
@@ -54,7 +54,7 @@ def parse_number(v, exact: bool = False):
     if exact:
         try:
             return Fraction(Decimal(repr(v)))
-        except InvalidOperation as e:
+        except (ArithmeticError, ValueError) as e:  # inf, nan
             raise ValueError(f"not a finite number: {v!r}") from e
     return v
 

@@ -130,8 +130,8 @@ def _pivot(T, basis, r, i, j):
         if f and other is not row:
             for k in nonzero:
                 other[k] -= f * row[k]
-            if other[-1] < 0:
-                other[-1] = 0.0  # float degeneracy noise; exact rhs stay >= 0
+            if other[-1] < 0:  # float degeneracy noise; exact rhs stay >= 0
+                other[-1] = type(other[-1])(0)
     if r is not None and r[j]:
         f = r[j]
         for k in nonzero:

@@ -17,6 +17,13 @@ The vertex bound never exceeds the Choquet bound, and when the prior is
 both bounds equal the exact posterior upper probability. Lower bounds
 come from conjugacy: lower(A) = 1 - upper(complement of A), computed as
 literally that expression so the identity holds bit for bit.
+:func:`bounds_report` is the one place the bounds are computed: it
+solves the parts of each event and of its complement once per call.
+
+The posterior capacity sweep runs only where the equality clause holds,
+a 2-alternating prior with member envelopes. There the upper and lower
+Choquet integrals are the sup and inf over the core, so the sweep takes
+its values from the Choquet bound and solves no LP.
 
 Likelihood vectors store the density value at the single observed data
 point, one entry per outcome; the sample space itself never appears.
@@ -239,54 +246,54 @@ def bang_bang_likelihood(likelihoods: LikelihoodSet, mask: int) -> Functional:
     return Functional(space, vals)
 
 
-def upper_bound_vertex(q: PosteriorQuery):
-    """The LP-based upper bound on the posterior probability of the event."""
-    value, _, _ = _vertex_parts(q.prior, q.likelihoods, q.event)
-    return value
+def bounds_report(
+    prior: Capacity, likelihoods: LikelihoodSet, masks
+) -> list[PosteriorReport]:
+    """One report per mask: both upper bounds, both conjugate lower bounds
+    and the diagnosis available without an oracle run.
 
-
-def upper_bound_choquet(q: PosteriorQuery):
-    """The Choquet-integral upper bound; never below the vertex bound."""
-    value, _ = _choquet_parts(q.prior, q.likelihoods, q.event)
-    return value
-
-
-def lower_bound(q: PosteriorQuery, which: str = "vertex"):
-    """Conjugate lower bound: one minus the upper bound of the complement."""
-    comp = q.complement()
-    if which == "vertex":
-        return 1 - upper_bound_vertex(comp)
-    if which == "choquet":
-        return 1 - upper_bound_choquet(comp)
-    raise ValueError(f"unknown bound form {which!r}")
-
-
-def bounds_report(q: PosteriorQuery) -> PosteriorReport:
-    """Both upper bounds, both conjugate lower bounds and the diagnosis
-    available without an oracle run."""
-    uv, c_val, argmax = _vertex_parts(q.prior, q.likelihoods, q.event)
-    uc, c_prime = _choquet_parts(q.prior, q.likelihoods, q.event)
-    comp = q.space.complement(q.event)
-    lv = 1 - _vertex_parts(q.prior, q.likelihoods, comp)[0]
-    lc = 1 - _choquet_parts(q.prior, q.likelihoods, comp)[0]
-    proven = bool(is_two_alternating(q.prior)) and q.likelihoods.envelopes_are_members
+    The vertex and Choquet parts of each mask and of its complement are
+    computed once per call and shared between the reports that need them,
+    so a sweep over all 2**n events solves each LP once. An empty prior
+    core raises :class:`InfeasibleCore` from the first LP.
+    """
+    space = prior.space
+    if space != likelihoods.space:
+        raise ValueError("prior and likelihood set live on different spaces")
+    masks = list(masks)
+    parts: dict[int, tuple] = {}
+    for mask in masks:
+        space.check_mask(mask)
+        for m in (mask, space.complement(mask)):
+            if m not in parts:
+                parts[m] = (
+                    _vertex_parts(prior, likelihoods, m),
+                    _choquet_parts(prior, likelihoods, m),
+                )
+    proven = bool(is_two_alternating(prior)) and likelihoods.envelopes_are_members
     diagnosis = (
         EqualityDiagnosis.PROVEN_EQUAL if proven else EqualityDiagnosis.BOUND_ONLY
     )
-    extreme = bang_bang_likelihood(q.likelihoods, q.event)
-    return PosteriorReport(
-        space=q.space,
-        event=q.event,
-        bound_vertex=uv,
-        bound_choquet=uc,
-        lower_vertex=lv,
-        lower_choquet=lc,
-        c_value=c_val,
-        c_prime_value=c_prime,
-        equality_diagnosis=diagnosis,
-        achieving_prior=argmax.mass,
-        achieving_likelihood=extreme.values,
-    )
+    reports = []
+    for mask in masks:
+        (uv, c_val, argmax), (uc, c_prime) = parts[mask]
+        (uv_c, _, _), (uc_c, _) = parts[space.complement(mask)]
+        reports.append(
+            PosteriorReport(
+                space=space,
+                event=mask,
+                bound_vertex=uv,
+                bound_choquet=uc,
+                lower_vertex=1 - uv_c,
+                lower_choquet=1 - uc_c,
+                c_value=c_val,
+                c_prime_value=c_prime,
+                equality_diagnosis=diagnosis,
+                achieving_prior=argmax.mass,
+                achieving_likelihood=bang_bang_likelihood(likelihoods, mask).values,
+            )
+        )
+    return reports
 
 
 def posterior_capacity(prior: Capacity, likelihoods: LikelihoodSet) -> Capacity:
@@ -294,9 +301,12 @@ def posterior_capacity(prior: Capacity, likelihoods: LikelihoodSet) -> Capacity:
 
     Only emitted when the values are exact posteriors rather than mere
     bounds: the prior must be 2-alternating and the likelihood envelopes
-    must belong to the set. Events are swept in subset-size order;
-    monotonicity noise up to 1e-9 is clamped with a logged warning and
-    anything larger aborts.
+    must belong to the set. There the Choquet integrals equal the sup and
+    inf over the core, so each value comes from :func:`choquet_upper` and
+    :func:`choquet_lower` and no LP runs. A 2-alternating capacity's core
+    holds its marginal vectors (Shapley 1971), so it is never empty.
+    Events are swept in subset-size order; monotonicity noise up to 1e-9
+    is clamped with a logged warning and anything larger aborts.
     """
     verdict = is_two_alternating(prior)
     if not verdict:
@@ -309,8 +319,6 @@ def posterior_capacity(prior: Capacity, likelihoods: LikelihoodSet) -> Capacity:
             "likelihood envelopes are not members of the set; "
             "the sweep would emit bounds, not posterior values"
         )
-    if is_core_empty(prior):
-        raise InfeasibleCore("the prior core is empty; no posterior exists")
     space = prior.space
     full = space.full_mask
     values: list = [None] * space.size
@@ -320,7 +328,7 @@ def posterior_capacity(prior: Capacity, likelihoods: LikelihoodSet) -> Capacity:
     for mask in space.events_by_size():
         if mask == 0 or mask == full:
             continue
-        v, _, _ = _vertex_parts(prior, likelihoods, mask)
+        v, _ = _choquet_parts(prior, likelihoods, mask)
         v = min(v, 1)
         floor = max(
             (values[mask ^ (1 << i)] for i in range(space.n) if mask >> i & 1),
@@ -341,20 +349,3 @@ def posterior_capacity(prior: Capacity, likelihoods: LikelihoodSet) -> Capacity:
             v = floor
         values[mask] = v
     return Capacity(space, tuple(values))
-
-
-def check_preserved_concavity(prior: Capacity, likelihoods: LikelihoodSet) -> bool:
-    """Whether the posterior capacity of a concave prior is itself concave.
-
-    Expected true; a False return is logged loudly since it means either
-    a numerical defect or a genuine counterexample worth keeping.
-    """
-    post = posterior_capacity(prior, likelihoods)
-    verdict = is_two_alternating(post)
-    if not verdict:
-        log.error(
-            "posterior capacity lost concavity, witness pair %r / %r",
-            prior.space.event_key(verdict.witness[0]),
-            prior.space.event_key(verdict.witness[1]),
-        )
-    return bool(verdict)

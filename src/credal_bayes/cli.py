@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
 from ._numeric import OPT_TOL, encode_number
@@ -72,10 +73,7 @@ def cmd_update(args) -> int:
     if is_core_empty(model.prior):
         raise InfeasibleCore("the prior core is empty; no posterior exists")
 
-    reports = [
-        bounds_report(PosteriorQuery(model.prior, model.likelihoods, m, check_core=False))
-        for m in masks
-    ]
+    reports = bounds_report(model.prior, model.likelihoods, masks)
 
     posterior = None
     if args.sweep and is_two_alternating(model.prior) and model.likelihoods.envelopes_are_members:
@@ -106,6 +104,8 @@ def cmd_update(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ModelError("--tol", "expected a finite nonnegative number")
     emit = (lambda rec: print(json.dumps(rec))) if args.json else None
     if args.random is not None:
         if args.random < 1:

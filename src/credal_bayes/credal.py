@@ -9,33 +9,15 @@ over arbitrary cores goes through the LP path in :mod:`.optim`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
-from ._numeric import encode_number, opt_tol
-from .capacity import Capacity, CheckResult, OutcomeSpace, ProbabilityVector
+from ._numeric import opt_tol
+from .capacity import Capacity, CheckResult, ProbabilityVector
 from .capacity import is_two_alternating
 from .errors import NotTwoAlternating, SpaceTooLarge
 from .optim import core_feasible, most_violated_event
 
 MAX_VERTEX_OUTCOMES = 10  # n! orderings before deduplication
-
-
-@dataclass(frozen=True)
-class CredalSet:
-    """A core polytope: the domination constraints plus, for concave
-    capacities, the cached list of extreme points."""
-
-    space: OutcomeSpace
-    constraint_capacity: Capacity
-    vertices: tuple[ProbabilityVector, ...] | None = None
-
-    @classmethod
-    def from_capacity(cls, c: Capacity) -> "CredalSet":
-        verts = None
-        if c.space.n <= MAX_VERTEX_OUTCOMES and is_two_alternating(c):
-            verts = core_vertices_two_monotone(c)
-        return cls(c.space, c, verts)
 
 
 def core_membership(c: Capacity, p: ProbabilityVector, tol=None) -> CheckResult:
@@ -96,34 +78,3 @@ def core_vertices_two_monotone(c: Capacity) -> tuple[ProbabilityVector, ...]:
     return tuple(
         ProbabilityVector(c.space, mass) for mass in sorted(seen.values())
     )
-
-
-def vertices_to_json(vertices) -> list:
-    """Vertex lists as arrays of mass arrays, in lexicographic order, so
-    serialized output diffs stay stable."""
-    rows = sorted(tuple(v.mass) for v in vertices)
-    return [[encode_number(x) for x in row] for row in rows]
-
-
-def random_core_points(
-    c: Capacity, count: int, rng
-) -> tuple[ProbabilityVector, ...]:
-    """Random interior points: convex mixtures of the core's vertices.
-
-    Stays inside the polytope by construction. Needs a 2-alternating
-    capacity (for the vertex list) and a seeded ``random.Random``.
-    """
-    verts = core_vertices_two_monotone(c)
-    n = c.space.n
-    out = []
-    for _ in range(count):
-        weights = [rng.random() for _ in verts]
-        total = sum(weights)
-        mix = [0.0] * n
-        for w, v in zip(weights, verts):
-            f = w / total
-            for i in range(n):
-                mix[i] += f * float(v.mass[i])
-        s = sum(mix)
-        out.append(ProbabilityVector(c.space, tuple(x / s for x in mix)))
-    return tuple(out)

@@ -20,6 +20,7 @@ are read through their decimal rendering.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field as dataclass_field
 
 from ._numeric import OPT_TOL, encode_number, parse_number
@@ -71,8 +72,12 @@ def parse_model(obj: dict) -> ModelFile:
     if not isinstance(exact, bool):
         _fail("$.options.exact", "expected true or false")
     tol = raw_opts.get("tol", OPT_TOL)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol < 0:
-        _fail("$.options.tol", "expected a nonnegative number")
+    if (
+        not isinstance(tol, (int, float))
+        or isinstance(tol, bool)
+        or not 0 <= tol <= sys.float_info.max
+    ):
+        _fail("$.options.tol", "expected a finite nonnegative number")
     seed = raw_opts.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         _fail("$.options.seed", "expected an integer")

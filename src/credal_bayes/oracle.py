@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ._numeric import encode_number, opt_tol
 from .bayes import (
@@ -32,9 +32,8 @@ from .bayes import (
     LikelihoodSet,
     PosteriorQuery,
     PosteriorReport,
-    _choquet_parts,
-    _vertex_parts,
     bang_bang_likelihood,
+    bounds_report,
 )
 from .capacity import Capacity, ProbabilityVector, is_two_alternating
 from .choquet import Functional
@@ -190,10 +189,9 @@ def verify_theorem(
     res = brute_force_upper(q, exhaustive)
     res_c = brute_force_upper(comp, exhaustive)
 
-    uv, c_val, argmax = _vertex_parts(q.prior, q.likelihoods, q.event)
-    uc, c_prime = _choquet_parts(q.prior, q.likelihoods, q.event)
-    uv_c, _, _ = _vertex_parts(q.prior, q.likelihoods, comp.event)
-    uc_c, _ = _choquet_parts(q.prior, q.likelihoods, comp.event)
+    rep, rep_c = bounds_report(q.prior, q.likelihoods, [q.event, comp.event])
+    uv, uc = rep.bound_vertex, rep.bound_choquet
+    uv_c, uc_c = rep_c.bound_vertex, rep_c.bound_choquet
 
     details = {
         "event": q.space.event_key(q.event),
@@ -214,8 +212,7 @@ def verify_theorem(
         if vertex_val > choquet_val + tol:
             raise ChainViolation("vertex bound exceeded the Choquet bound", details)
 
-    proven = bool(is_two_alternating(q.prior)) and q.likelihoods.envelopes_are_members
-    if proven:
+    if rep.equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL:
         if abs(uv - res.value) > tol or abs(uc - res.value) > tol:
             raise ChainViolation(
                 "equality clause failed for a concave prior with member envelopes",
@@ -227,15 +224,8 @@ def verify_theorem(
     else:
         diagnosis = EqualityDiagnosis.STRICT_GAP
 
-    return PosteriorReport(
-        space=q.space,
-        event=q.event,
-        bound_vertex=uv,
-        bound_choquet=uc,
-        lower_vertex=1 - uv_c,
-        lower_choquet=1 - uc_c,
-        c_value=c_val,
-        c_prime_value=c_prime,
+    return replace(
+        rep,
         equality_diagnosis=diagnosis,
         oracle=res.value,
         lower_oracle=1 - res_c.value,

@@ -21,6 +21,7 @@ from credal_bayes import (
     OutcomeSpace,
     PosteriorQuery,
     additive_capacity,
+    bounds_report,
     brute_force_upper,
     choquet_lower,
     choquet_upper,
@@ -29,13 +30,10 @@ from credal_bayes import (
     epsilon_contamination,
     inf_expectation,
     is_two_alternating,
-    lower_bound,
     posterior_capacity,
     precise_posterior,
     sup_expectation,
     uniform_vector,
-    upper_bound_choquet,
-    upper_bound_vertex,
     verify_theorem,
 )
 from credal_bayes.campaign import (
@@ -51,6 +49,10 @@ from credal_bayes.bayes import EqualityDiagnosis
 
 def _space(n):
     return OutcomeSpace(tuple(f"x{i}" for i in range(n)))
+
+
+def _bounds(q):
+    return bounds_report(q.prior, q.likelihoods, [q.event])[0]
 
 
 def _report(num, label, elapsed):
@@ -139,9 +141,10 @@ def test_criterion_5_singleton_reduction():
         ev = rng.randint(1, space.full_mask)
         via_family = PosteriorQuery(prior, LikelihoodSet.family([L]), ev, check_core=False)
         via_band = PosteriorQuery(prior, LikelihoodSet.band(L, L), ev, check_core=False)
-        assert upper_bound_vertex(via_family) == upper_bound_vertex(via_band)
-        assert upper_bound_choquet(via_family) == upper_bound_choquet(via_band)
-        assert lower_bound(via_family) == lower_bound(via_band)
+        by_family, by_band = _bounds(via_family), _bounds(via_band)
+        assert by_family.bound_vertex == by_band.bound_vertex
+        assert by_family.bound_choquet == by_band.bound_choquet
+        assert by_family.lower_vertex == by_band.lower_vertex
         assert brute_force_upper(via_family).value == brute_force_upper(via_band).value
     for _ in range(200):
         space = _space(rng.randint(2, 6))
@@ -151,9 +154,10 @@ def test_criterion_5_singleton_reduction():
         q = PosteriorQuery(additive_capacity(p), LikelihoodSet.family([L]), ev,
                            check_core=False)
         want = precise_posterior(p, L, ev)
-        assert abs(upper_bound_vertex(q) - want) <= 1e-12
-        assert abs(upper_bound_choquet(q) - want) <= 1e-12
-        assert abs(lower_bound(q) - want) <= 1e-12
+        rep = _bounds(q)
+        assert abs(rep.bound_vertex - want) <= 1e-12
+        assert abs(rep.bound_choquet - want) <= 1e-12
+        assert abs(rep.lower_vertex - want) <= 1e-12
     elapsed = time.monotonic() - start
     _report(5, "singleton likelihood reduction", elapsed)
 
@@ -213,8 +217,9 @@ def test_criterion_7_conjugacy_identities():
             assert conjugate(k) is q.prior
             assert conjugate(k).values == q.prior.values
             comp = q.complement()
-            assert lower_bound(q, "vertex") == 1 - upper_bound_vertex(comp)
-            assert lower_bound(q, "choquet") == 1 - upper_bound_choquet(comp)
+            rep, rep_c = _bounds(q), _bounds(comp)
+            assert rep.lower_vertex == 1 - rep_c.bound_vertex
+            assert rep.lower_choquet == 1 - rep_c.bound_choquet
             rep = verify_theorem(q)
             assert rep.lower_oracle == 1 - brute_force_upper(comp).value
     elapsed = time.monotonic() - start
@@ -249,9 +254,10 @@ def test_criterion_9_worked_fixture_exact():
     q = PosteriorQuery(prior, lik, space.mask_of(["theta1"]))
     oracle = brute_force_upper(q).value
     assert oracle == Fraction(4, 7)
-    assert upper_bound_vertex(q) == Fraction(4, 7)
-    assert upper_bound_choquet(q) == Fraction(4, 7)
-    assert abs(upper_bound_vertex(q) - Fraction(4, 7)) <= Fraction(1, 10**12)
+    bounds = _bounds(q)
+    assert bounds.bound_vertex == Fraction(4, 7)
+    assert bounds.bound_choquet == Fraction(4, 7)
+    assert abs(bounds.bound_vertex - Fraction(4, 7)) <= Fraction(1, 10**12)
     rep = verify_theorem(q, tol=0)
     assert rep.equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL
     elapsed = time.monotonic() - start

@@ -14,16 +14,13 @@ from credal_bayes import (
     PosteriorQuery,
     additive_capacity,
     bounds_report,
-    check_preserved_concavity,
+    brute_force_upper,
     conjugate,
     epsilon_contamination,
     is_two_alternating,
-    lower_bound,
     posterior_capacity,
     precise_posterior,
     uniform_vector,
-    upper_bound_choquet,
-    upper_bound_vertex,
     vacuous_capacity,
 )
 from credal_bayes.campaign import (
@@ -47,6 +44,10 @@ def _fixture_query(event=0b001):
     prior = epsilon_contamination(uniform_vector(SP3), 0.1)
     lik = LikelihoodSet.precise(Functional(SP3, (0.5, 0.3, 0.2)))
     return PosteriorQuery(prior, lik, event)
+
+
+def _report(q):
+    return bounds_report(q.prior, q.likelihoods, [q.event])[0]
 
 
 class TestLikelihoodSet:
@@ -73,13 +74,12 @@ class TestLikelihoodSet:
 
 class TestUpperBounds:
     def test_full_event_is_one(self):
-        q = _fixture_query(SP3.full_mask)
-        assert upper_bound_vertex(q) == pytest.approx(1.0, abs=1e-12)
-        assert upper_bound_choquet(q) == pytest.approx(1.0, abs=1e-12)
+        rep = _report(_fixture_query(SP3.full_mask))
+        assert rep.bound_vertex == pytest.approx(1.0, abs=1e-12)
+        assert rep.bound_choquet == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_event_is_zero(self):
-        q = _fixture_query(0)
-        assert upper_bound_vertex(q) == pytest.approx(0.0, abs=1e-12)
+        assert _report(_fixture_query(0)).bound_vertex == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_event_with_vanishing_evidence(self):
         prior = epsilon_contamination(uniform_vector(SP3), 0.1)
@@ -87,12 +87,12 @@ class TestUpperBounds:
             Functional(SP3, (0, 0, 0)), Functional(SP3, (1.0, 1.0, 1.0))
         )
         with pytest.raises(UndefinedRatio):
-            upper_bound_vertex(PosteriorQuery(prior, lik, 0))
+            bounds_report(prior, lik, [0])
 
     def test_worked_fixture(self):
-        q = _fixture_query()
-        assert upper_bound_vertex(q) == pytest.approx(4 / 7, abs=1e-9)
-        assert upper_bound_choquet(q) == pytest.approx(4 / 7, abs=1e-9)
+        rep = _report(_fixture_query())
+        assert rep.bound_vertex == pytest.approx(4 / 7, abs=1e-9)
+        assert rep.bound_choquet == pytest.approx(4 / 7, abs=1e-9)
 
     def test_bounds_coincide_for_concave_priors(self):
         rng = Random(73)
@@ -104,9 +104,8 @@ class TestUpperBounds:
                 else random_distortion(rng, space)
             )
             q = PosteriorQuery(prior, random_band(rng, space), rng.randint(1, space.full_mask))
-            assert upper_bound_vertex(q) == pytest.approx(
-                upper_bound_choquet(q), abs=1e-9
-            )
+            rep = _report(q)
+            assert rep.bound_vertex == pytest.approx(rep.bound_choquet, abs=1e-9)
 
     def test_choquet_dominates_vertex_generally(self):
         rng = Random(79)
@@ -117,7 +116,8 @@ class TestUpperBounds:
                 prior, random_band(rng, space), rng.randint(1, space.full_mask),
                 check_core=False,
             )
-            assert upper_bound_vertex(q) <= upper_bound_choquet(q) + 1e-9
+            rep = _report(q)
+            assert rep.bound_vertex <= rep.bound_choquet + 1e-9
 
     def test_empty_prior_core_rejected(self):
         bad = Capacity(OutcomeSpace(("a", "b")), (0, 0.2, 0.2, 1))
@@ -128,8 +128,8 @@ class TestUpperBounds:
 
 class TestLowerBound:
     def test_full_event(self):
-        q = _fixture_query(SP3.full_mask)
-        assert lower_bound(q) == pytest.approx(1.0, abs=1e-12)
+        rep = _report(_fixture_query(SP3.full_mask))
+        assert rep.lower_vertex == pytest.approx(1.0, abs=1e-12)
 
     def test_precise_reduction_collapses(self):
         rng = Random(83)
@@ -140,14 +140,16 @@ class TestLowerBound:
             q = PosteriorQuery(additive_capacity(p), LikelihoodSet.precise(L),
                                rng.randint(1, space.full_mask - 1))
             want = precise_posterior(p, L, q.event)
-            assert upper_bound_vertex(q) == pytest.approx(want, abs=1e-12)
-            assert lower_bound(q) == pytest.approx(want, abs=1e-12)
+            rep = _report(q)
+            assert rep.bound_vertex == pytest.approx(want, abs=1e-12)
+            assert rep.lower_vertex == pytest.approx(want, abs=1e-12)
 
     def test_conjugacy_via_complement(self):
         q = _fixture_query()
-        comp = q.complement()
-        assert lower_bound(q, "vertex") == 1 - upper_bound_vertex(comp)
-        assert lower_bound(q, "choquet") == 1 - upper_bound_choquet(comp)
+        rep = _report(q)
+        comp = _report(q.complement())
+        assert rep.lower_vertex == 1 - comp.bound_vertex
+        assert rep.lower_choquet == 1 - comp.bound_choquet
 
 
 class TestScaleInvariance:
@@ -161,12 +163,9 @@ class TestScaleInvariance:
             lam = rng.uniform(0.1, 9.0)
             q1 = PosteriorQuery(prior, band, ev, check_core=False)
             q2 = PosteriorQuery(prior, band.scaled(lam), ev, check_core=False)
-            assert upper_bound_vertex(q1) == pytest.approx(
-                upper_bound_vertex(q2), abs=1e-12
-            )
-            assert upper_bound_choquet(q1) == pytest.approx(
-                upper_bound_choquet(q2), abs=1e-12
-            )
+            r1, r2 = _report(q1), _report(q2)
+            assert r1.bound_vertex == pytest.approx(r2.bound_vertex, abs=1e-12)
+            assert r1.bound_choquet == pytest.approx(r2.bound_choquet, abs=1e-12)
 
 
 class TestPosteriorCapacity:
@@ -233,6 +232,29 @@ class TestPosteriorCapacity:
         assert post.exact
         assert post[0b001] == Fraction(4, 7)
 
+    def test_sweep_equals_the_vertex_bound(self):
+        # the sweep takes Choquet values; the theorem makes them the LP's
+        rng = Random(151)
+        for n in range(2, 9):
+            space = _space(n)
+            priors = [random_contamination(rng, space), random_distortion(rng, space)]
+            if n <= 5:
+                priors.append(random_contamination(rng, space, exact=True))
+            for prior in priors:
+                band = random_band(rng, space, exact=prior.exact)
+                post = posterior_capacity(prior, band)
+                reports = bounds_report(prior, band, range(space.size))
+                for m, rep in enumerate(reports):
+                    if prior.exact:
+                        assert post[m] == rep.bound_vertex
+                    else:
+                        assert post[m] == pytest.approx(rep.bound_vertex, abs=1e-12)
+                    if n <= 5:
+                        q = PosteriorQuery(prior, band, m, check_core=False)
+                        assert post[m] == pytest.approx(
+                            float(brute_force_upper(q).value), abs=1e-9
+                        )
+
 
 class TestPreservedConcavity:
     def test_contamination_band_instances(self):
@@ -240,18 +262,17 @@ class TestPreservedConcavity:
         for _ in range(25):
             space = _space(rng.randint(2, 5))
             prior = random_contamination(rng, space)
-            assert check_preserved_concavity(prior, random_band(rng, space))
+            assert is_two_alternating(posterior_capacity(prior, random_band(rng, space)))
 
     def test_precise_everything(self):
         p = ProbabilityVector(SP3, (0.5, 0.3, 0.2))
         lik = LikelihoodSet.precise(Functional(SP3, (0.2, 0.5, 0.9)))
-        assert check_preserved_concavity(additive_capacity(p), lik)
+        assert is_two_alternating(posterior_capacity(additive_capacity(p), lik))
 
 
 class TestReports:
     def test_bounds_report_fields(self):
-        q = _fixture_query()
-        rep = bounds_report(q)
+        rep = _report(_fixture_query())
         assert rep.equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL
         assert rep.oracle is None
         assert rep.c_value == pytest.approx(0.35, abs=1e-12)
@@ -268,5 +289,5 @@ class TestReports:
         b = Functional(SP3, (0.1, 0.5, 0.1))
         fam = LikelihoodSet.family([a, b])
         prior = epsilon_contamination(uniform_vector(SP3), 0.2)
-        rep = bounds_report(PosteriorQuery(prior, fam, 0b001))
+        rep = bounds_report(prior, fam, [0b001])[0]
         assert rep.equality_diagnosis is EqualityDiagnosis.BOUND_ONLY

@@ -7,7 +7,6 @@ import pytest
 
 from credal_bayes import (
     Capacity,
-    CredalSet,
     OutcomeSpace,
     ProbabilityVector,
     additive_capacity,
@@ -15,7 +14,6 @@ from credal_bayes import (
     core_vertices_two_monotone,
     epsilon_contamination,
     is_core_empty,
-    random_core_points,
     uniform_vector,
     upper_envelope,
     vacuous_capacity,
@@ -23,7 +21,6 @@ from credal_bayes import (
 from credal_bayes.campaign import (
     random_contamination,
     random_distortion,
-    random_monotone_capacity,
     random_probability_vector,
 )
 from credal_bayes.choquet import indicator
@@ -176,30 +173,15 @@ class TestVertices:
                 by_lp = sup_expectation(c, indicator(space, m)).value
                 assert by_vertices == pytest.approx(by_lp, abs=1e-9)
 
-    def test_from_capacity_caches_vertices(self):
-        c = epsilon_contamination(uniform_vector(SP3), 0.2)
-        cs = CredalSet.from_capacity(c)
-        assert cs.vertices is not None and len(cs.vertices) == 3
-        bad = random_monotone_capacity(Random(3), _space(4))
-        if not bool(__import__("credal_bayes").is_two_alternating(bad)):
-            assert CredalSet.from_capacity(bad).vertices is None
-
-
-class TestRandomCorePoints:
-    def test_points_stay_inside(self):
-        rng = Random(29)
-        c = epsilon_contamination(uniform_vector(SP3), 0.35)
-        for p in random_core_points(c, 50, rng):
-            assert core_membership(c, p)
-
 
 def test_vertices_serialize_lexicographically():
-    from credal_bayes import vertices_to_json
-
     c = epsilon_contamination(uniform_vector(SP2), 0.1)
-    rows = vertices_to_json(core_vertices_two_monotone(c))
+    rows = [v.mass for v in core_vertices_two_monotone(c)]
     assert rows == sorted(rows)
     assert rows[0][0] == pytest.approx(0.45, abs=1e-12)
     exact = epsilon_contamination(uniform_vector(SP2, exact=True), Fraction(1, 10))
-    rows = vertices_to_json(core_vertices_two_monotone(exact))
-    assert rows == [["9/20", "11/20"], ["11/20", "9/20"]]
+    rows = [v.mass for v in core_vertices_two_monotone(exact)]
+    assert rows == [
+        (Fraction(9, 20), Fraction(11, 20)),
+        (Fraction(11, 20), Fraction(9, 20)),
+    ]

@@ -92,6 +92,40 @@ class TestParsing:
         assert m.likelihoods.lower.values[1] == Fraction(3, 10)
 
 
+    @pytest.mark.parametrize("field", ["upper", "eps"])
+    def test_exact_infinity_names_path(self, tmp_path, field):
+        doc = _base_model()
+        doc["options"] = {"exact": True}
+        doc["prior"]["p"] = ["1/3", "1/3", "1/3"]
+        if field == "upper":
+            doc["likelihood"]["band"]["upper"][0] = float("inf")
+            path = "$.likelihood.band.upper[0]"
+        else:
+            doc["prior"]["eps"] = float("inf")
+            path = "$.prior"
+        code, _, err = _run(["update", _write(tmp_path, doc)])
+        assert code == 2
+        assert f"{path}: not a finite number" in err, err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("where", ["model", "flag", "flag-random"])
+def test_bad_tolerance_is_rejected(tmp_path, tol, where):
+    doc = _base_model()
+    if where == "model":
+        doc["options"] = {"tol": float(tol)}
+    path = _write(tmp_path, doc)
+    argv = {
+        "model": ["verify", path],
+        "flag": ["verify", path, "--tol", tol],
+        "flag-random": ["verify", "--random", "3", "--tol", tol],
+    }[where]
+    code, out, err = _run(argv)
+    assert code == 2
+    assert out == ""
+    assert ("$.options.tol" if where == "model" else "--tol") in err
+
+
 class TestUpdate:
     def test_precise_model_collapses(self, tmp_path):
         path = _write(tmp_path, _base_model(eps=0))
@@ -219,6 +253,48 @@ class TestReplayDumps:
         q = random_query(Random(5), "contamination", exact=True)
         m = parse_model(query_to_model_json(q))
         assert m.prior.exact and m.prior.values == q.prior.values
+
+
+def test_sweep_and_iterate_lp_traffic(tmp_path, monkeypatch):
+    """An n=6 sweep solves each of its 2 * 2**n LPs once and checks the
+    core once; iterate solves no LP at all."""
+    from credal_bayes import bayes, optim
+
+    calls = {"expectation": 0, "core": 0, "solve": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("sup_expectation", "inf_expectation"):
+        monkeypatch.setattr(bayes, name, counted("expectation", getattr(bayes, name)))
+    for module in (cli, bayes):
+        monkeypatch.setattr(module, "is_core_empty", counted("core", module.is_core_empty))
+    monkeypatch.setattr(optim, "solve", counted("solve", optim.solve))
+
+    doc = _base_model()
+    doc["outcomes"] = ["a", "b", "c", "d", "e", "f"]
+    doc["prior"] = {"kind": "eps-contamination",
+                    "p": [0.3, 0.2, 0.2, 0.1, 0.1, 0.1], "eps": 0.2}
+    doc["likelihood"] = {"band": {"lower": [0.4, 0.3, 0.2, 0.1, 0.3, 0.2],
+                                  "upper": [0.5, 0.4, 0.3, 0.2, 0.6, 0.2]}}
+    doc["events"] = "all"
+    mp = _write(tmp_path, doc)
+    code, out, err = _run(["update", mp, "--sweep", "--json"])
+    assert code == 0, err
+    assert json.loads(out)["posterior"] is not None
+    assert calls["expectation"] == 2 * 2**6
+    assert calls["core"] == 1
+
+    calls.update(expectation=0, core=0, solve=0)
+    step = {"band": {"lower": [0.2, 0.3, 0.4, 0.1, 0.2, 0.3],
+                     "upper": [0.3, 0.3, 0.5, 0.4, 0.2, 0.6]}}
+    op = _write(tmp_path, {"version": 1, "observations": [step] * 3}, "obs.json")
+    code, out, err = _run(["iterate", mp, op, "--json"])
+    assert code == 0, err
+    assert calls == {"expectation": 0, "core": 0, "solve": 0}
 
 
 class TestIterate:

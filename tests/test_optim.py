@@ -27,6 +27,7 @@ from credal_bayes.campaign import (
     random_monotone_capacity,
 )
 from credal_bayes.errors import InfeasibleCore, SpaceTooLarge
+from credal_bayes._simplex import _pivot
 from credal_bayes.optim import core_lp
 from credal_bayes.oracle import _fractional_lp
 
@@ -186,6 +187,15 @@ class TestExactMode:
             exact_ratio, _ = _fractional_lp(c, f, event)
             float_ratio, _ = _fractional_lp(c_float, f_float, event)
             assert float(exact_ratio) == pytest.approx(float_ratio, abs=1e-9)
+
+    def test_pivot_clamp_keeps_the_field(self):
+        # Pivoting on a row that is not the ratio-test minimum drives the
+        # other row's right-hand side negative; the clamp that zeroes it
+        # must not put a float into a rational tableau.
+        T = [[Fraction(1), Fraction(1), Fraction(1)], [Fraction(1), Fraction(0), Fraction(2)]]
+        _pivot(T, [1, 2], None, 1, 0)
+        assert T[0][-1] == 0
+        assert all(type(v) is Fraction for row in T for v in row)
 
 
 def _dense_core_rows(c):
