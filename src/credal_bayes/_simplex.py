@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import chain
 
 from ._numeric import all_exact, opt_tol, struct_tol
+from .errors import SolverError
 
 _MAX_ITER = 100_000
 
@@ -67,7 +68,7 @@ def solve(objective, a_ub, b_ub, a_eq, b_eq, maximize=True) -> LPSolution:
     cost = [zero] * (n + mu) + [-one] * me + [zero]
     r = _reduced(cost, T, basis)
     if _iterate(T, basis, r, cols, tol, tie) == "unbounded":
-        raise ArithmeticError("phase 1 cannot be unbounded")
+        raise SolverError("phase 1 cannot be unbounded")
     infeas = sum((T[i][-1] for i in range(len(T)) if basis[i] >= n + mu), zero)
     if infeas > tol:
         return LPSolution("infeasible", None, None, infeas)
@@ -116,7 +117,7 @@ def _iterate(T, basis, r, eligible, tol, tie):
             if basis[i] < basis[best] and row[j] > tol and row[-1] / row[j] <= near:
                 best = i
         _pivot(T, basis, r, best, j)
-    raise ArithmeticError("simplex iteration limit exceeded")
+    raise SolverError("simplex iteration limit exceeded")
 
 
 def _pivot(T, basis, r, i, j):

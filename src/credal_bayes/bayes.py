@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, InitVar
+from dataclasses import dataclass
 
 from ._numeric import RATIO_TOL, encode_number
 from .capacity import Capacity, OutcomeSpace
 from .capacity import is_two_alternating
 from .choquet import Functional, choquet_lower, choquet_upper, pointwise_max, pointwise_min
-from .credal import is_core_empty
-from .errors import InfeasibleCore, NotMonotone, NotTwoAlternating, UndefinedRatio
+from .errors import NotMonotone, NotTwoAlternating, UndefinedRatio
 from .optim import inf_expectation, sup_expectation
 
 log = logging.getLogger(__name__)
@@ -111,23 +110,19 @@ class LikelihoodSet:
 
 @dataclass(frozen=True)
 class PosteriorQuery:
-    """A (prior, likelihood set, event) triple ready for updating.
+    """A (prior, likelihood set, event) triple: one instance of a campaign.
 
-    Construction checks the shared space and that the prior core is
-    nonempty; pass ``check_core=False`` only when the caller already did.
+    Construction checks the shared space and the event mask.
     """
 
     prior: Capacity
     likelihoods: LikelihoodSet
     event: int
-    check_core: InitVar[bool] = True
 
-    def __post_init__(self, check_core: bool):
+    def __post_init__(self):
         if self.prior.space != self.likelihoods.space:
             raise ValueError("prior and likelihood set live on different spaces")
         self.prior.space.check_mask(self.event)
-        if check_core and is_core_empty(self.prior):
-            raise InfeasibleCore("the prior core is empty; no posterior exists")
 
     @property
     def space(self) -> OutcomeSpace:
@@ -136,14 +131,6 @@ class PosteriorQuery:
     @property
     def exact(self) -> bool:
         return self.prior.exact and self.likelihoods.exact
-
-    def complement(self) -> "PosteriorQuery":
-        return PosteriorQuery(
-            self.prior,
-            self.likelihoods,
-            self.space.complement(self.event),
-            check_core=False,
-        )
 
 
 class EqualityDiagnosis(str, enum.Enum):

@@ -119,7 +119,7 @@ def random_query(rng: Random, family: str, exact: bool = False, max_n: int = 6) 
     space = OutcomeSpace(_labels(n))
     prior = random_prior(rng, space, family, exact)
     band = random_band(rng, space, exact)
-    return PosteriorQuery(prior, band, random_event(rng, space), check_core=False)
+    return PosteriorQuery(prior, band, random_event(rng, space))
 
 
 @dataclass
@@ -159,7 +159,6 @@ def run_campaign(
     seed: int,
     family: str,
     exact: bool = False,
-    max_n: int = 6,
     tol=None,
     on_record=None,
 ) -> CampaignSummary:
@@ -174,9 +173,9 @@ def run_campaign(
     rng = Random(seed)
     summary = CampaignSummary(count=count, seed=seed, family=family, exact=exact)
     for idx in range(count):
-        q = random_query(rng, family, exact, max_n)
+        q = random_query(rng, family, exact)
         try:
-            report = verify_theorem(q, tol=tol)
+            (report,) = verify_theorem(q.prior, q.likelihoods, [q.event], tol=tol)
         except ChainViolation as ex:
             summary.violations += 1
             ex.details["instance"] = idx

@@ -210,10 +210,6 @@ class Capacity:
     def exact(self) -> bool:
         return self._exact
 
-    def value(self, mask: int):
-        self.space.check_mask(mask)
-        return self.values[mask]
-
     def __getitem__(self, mask: int):
         return self.values[mask]
 
@@ -285,26 +281,23 @@ def conjugate(c: Capacity) -> Capacity:
     return k
 
 
-def is_two_alternating(c: Capacity, tol=None) -> CheckResult:
+def is_two_alternating(c: Capacity) -> CheckResult:
     """Test concavity: c(A|B) + c(A&B) <= c(A) + c(B) for all events A, B.
 
     The local form c(A+i) + c(A+j) >= c(A+i+j) + c(A), for outcomes
     i != j outside A, implies the general one, so only those
     O(n^2 2^n) quadruples are compared. Returns the witness pair
-    (A+i, A+j) on failure. Capped at 12 outcomes.
+    (A+i, A+j) on failure. Capped at 12 outcomes. The verdict is
+    memoised on the capacity.
     """
-    memoised = tol is None
-    if memoised and c._two_alternating is not None:
+    if c._two_alternating is not None:
         return c._two_alternating
     if c.space.n > MAX_PAIR_CHECK:
         raise SpaceTooLarge(
             f"concavity check needs n <= {MAX_PAIR_CHECK}, got {c.space.n}"
         )
-    if tol is None:
-        tol = struct_tol(c.exact)
-    result = _two_alternating_result(c, tol)
-    if memoised:
-        object.__setattr__(c, "_two_alternating", result)
+    result = _two_alternating_result(c, struct_tol(c.exact))
+    object.__setattr__(c, "_two_alternating", result)
     return result
 
 

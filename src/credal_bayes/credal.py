@@ -20,16 +20,15 @@ from .optim import core_feasible, most_violated_event
 MAX_VERTEX_OUTCOMES = 10  # n! orderings before deduplication
 
 
-def core_membership(c: Capacity, p: ProbabilityVector, tol=None) -> CheckResult:
-    """Is ``p`` dominated by ``c`` on every event?
+def core_membership(c: Capacity, p: ProbabilityVector) -> CheckResult:
+    """Is ``p`` dominated by ``c`` on every event, within 1e-9 (exactly in
+    rational mode)?
 
     On failure the witness is the maximally violated event mask.
     """
     if c.space != p.space:
         raise ValueError("capacity and vector live on different spaces")
-    if tol is None:
-        tol = opt_tol(c.exact and p.exact)
-    worst = most_violated_event(c, p.mass, tol)
+    worst = most_violated_event(c, p.mass, opt_tol(c.exact and p.exact))
     return CheckResult(worst is None, worst)
 
 

@@ -55,6 +55,10 @@ class AllZeroEvidence(CredalBayesError):
     """Every (prior vertex, likelihood) pair in a brute-force sweep had zero evidence."""
 
 
+class SolverError(CredalBayesError, ArithmeticError):
+    """The LP solver failed on a program it should solve; a defect, not bad input."""
+
+
 class ChainViolation(CredalBayesError):
     """The oracle exceeded a bound, or the two bounds crossed; always a defect to investigate."""
 

@@ -9,7 +9,7 @@ form, a likelihood set (band or family) and the events of interest:
       "prior": {"kind": "eps-contamination", "p": [...], "eps": 0.1},
       "likelihood": {"band": {"lower": [...], "upper": [...]}},
       "events": [["a"], ["a", "b"]],        // or "all"
-      "options": {"exact": false, "tol": 1e-9, "seed": 0}
+      "options": {"exact": false, "tol": 1e-9}
     }
 
 Validation failures name the JSON path of the offending field. In exact
@@ -34,7 +34,6 @@ from .errors import CredalBayesError, ModelError
 class ModelOptions:
     exact: bool = False
     tol: float = OPT_TOL
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -78,10 +77,7 @@ def parse_model(obj: dict) -> ModelFile:
         or not 0 <= tol <= sys.float_info.max
     ):
         _fail("$.options.tol", "expected a finite nonnegative number")
-    seed = raw_opts.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        _fail("$.options.seed", "expected an integer")
-    options = ModelOptions(exact=exact, tol=float(tol), seed=seed)
+    options = ModelOptions(exact=exact, tol=float(tol))
 
     labels = _expect(obj.get("outcomes"), "$.outcomes", list, "a list of labels")
     try:

@@ -25,7 +25,7 @@ from ._numeric import struct_tol, to_fraction
 from ._simplex import LPSolution, solve
 from .capacity import Capacity, OutcomeSpace, ProbabilityVector, event_mass_table
 from .choquet import Functional
-from .errors import InfeasibleCore, SpaceTooLarge
+from .errors import InfeasibleCore, SolverError, SpaceTooLarge
 
 MAX_LP_OUTCOMES = 12
 # Float phase-1 residuals above this mean a definitely empty core; at or
@@ -43,7 +43,6 @@ class ExpectationBound:
 
     value: object
     argmax: ProbabilityVector
-    status: str = "optimal"
 
 
 def most_violated_event(c: Capacity, mass, tol, skip=()) -> int | None:
@@ -118,7 +117,7 @@ def _solve_core(c: Capacity, objective, maximize: bool, exact: bool):
     if sol.status == "infeasible":
         raise InfeasibleCore("the capacity dominates no probability vector")
     if sol.status != "optimal":
-        raise ArithmeticError(f"core LP reported {sol.status}")
+        raise SolverError(f"core LP reported {sol.status}")
     return sol
 
 
@@ -128,7 +127,7 @@ def _vector_from_solution(space: OutcomeSpace, x, exact: bool) -> ProbabilityVec
     mass = [v if v > 0 else 0.0 for v in x]
     total = sum(mass)
     if abs(total - 1) > 1e-9:
-        raise ArithmeticError(f"LP optimizer sums to {total!r}; solver defect")
+        raise SolverError(f"LP optimizer sums to {total!r}; solver defect")
     return ProbabilityVector(space, tuple(v / total for v in mass))
 
 

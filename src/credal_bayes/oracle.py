@@ -3,14 +3,18 @@
 The oracle never touches the bound computations: it works from core
 vertices, precise Bayes ratios and enumeration only.
 
-For a 2-alternating prior the core's extreme points are enumerated
-directly and the posterior ratio is maximized over (vertex, extreme
-likelihood) pairs; the ratio is linear-fractional in the prior, so its
-maximum over the polytope sits at a vertex. For arbitrary monotone
-priors the same maximization runs as one linear program per extreme
+:func:`brute_force_upper` takes a list of events, like
+:func:`.bayes.bounds_report`. For a 2-alternating prior the core's
+extreme points are enumerated once per call and the posterior ratio of
+each event is maximized over (vertex, extreme likelihood) pairs; the
+ratio is linear-fractional in the prior, so its maximum over the
+polytope sits at a vertex. For arbitrary monotone priors the same
+maximization runs as one linear program per event and extreme
 likelihood: the standard substitution y = p/evidence, t = 1/evidence
 turns the ratio into a linear objective over the cutting-plane loop of
 :mod:`.optim`, and the optimal basic solution maps back to a core vertex.
+:func:`verify_theorem` checks a list of events and their complements
+with one oracle call and one bounds call.
 
 Extreme likelihoods are the members of a family, or for a band the
 switch vectors equal to the upper envelope on some event B and the lower
@@ -30,7 +34,6 @@ from ._numeric import encode_number, opt_tol
 from .bayes import (
     EqualityDiagnosis,
     LikelihoodSet,
-    PosteriorQuery,
     PosteriorReport,
     bang_bang_likelihood,
     bounds_report,
@@ -38,7 +41,7 @@ from .bayes import (
 from .capacity import Capacity, ProbabilityVector, is_two_alternating
 from .choquet import Functional
 from .credal import core_vertices_two_monotone
-from .errors import AllZeroEvidence, ChainViolation, SpaceTooLarge, ZeroEvidence
+from .errors import AllZeroEvidence, ChainViolation, SolverError, SpaceTooLarge, ZeroEvidence
 from .optim import core_lp
 
 MAX_ORACLE_OUTCOMES = 10
@@ -46,12 +49,11 @@ MAX_ORACLE_OUTCOMES = 10
 
 @dataclass(frozen=True)
 class OracleResult:
-    """The brute-force optimum with its achieving pair and a query digest."""
+    """The brute-force optimum with its achieving pair."""
 
     value: object
     achieving_prior: ProbabilityVector
     achieving_likelihood: Functional
-    instance_hash: str
 
 
 def precise_posterior(p: ProbabilityVector, L: Functional, event: int):
@@ -84,64 +86,61 @@ def extreme_likelihoods(
     return [bang_bang_likelihood(likelihoods, event)]
 
 
-def query_hash(q: PosteriorQuery) -> str:
+def query_hash(prior: Capacity, likelihoods: LikelihoodSet, event: int) -> str:
     payload = {
-        "outcomes": list(q.space.labels),
-        "prior": [encode_number(v) for v in q.prior.values],
-        "form": q.likelihoods.form,
-        "lower": [encode_number(v) for v in q.likelihoods.lower.values],
-        "upper": [encode_number(v) for v in q.likelihoods.upper.values],
+        "outcomes": list(prior.space.labels),
+        "prior": [encode_number(v) for v in prior.values],
+        "form": likelihoods.form,
+        "lower": [encode_number(v) for v in likelihoods.lower.values],
+        "upper": [encode_number(v) for v in likelihoods.upper.values],
         "members": None
-        if q.likelihoods.members is None
-        else [[encode_number(v) for v in m.values] for m in q.likelihoods.members],
-        "event": q.event,
+        if likelihoods.members is None
+        else [[encode_number(v) for v in m.values] for m in likelihoods.members],
+        "event": event,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def brute_force_upper(q: PosteriorQuery, exhaustive: bool = False) -> OracleResult:
-    """Maximize the precise posterior of the event over core points and
-    extreme likelihoods; zero-evidence pairs are skipped."""
-    if q.space.n > MAX_ORACLE_OUTCOMES:
-        raise SpaceTooLarge(
-            f"oracle needs n <= {MAX_ORACLE_OUTCOMES}, got {q.space.n}"
-        )
-    extremes = extreme_likelihoods(q.likelihoods, q.event, exhaustive)
-    if is_two_alternating(q.prior):
-        best = _max_over_vertices(q, extremes)
-    else:
-        best = _max_over_lp(q, extremes)
-    if best is None:
-        raise AllZeroEvidence("every (prior, likelihood) pair had zero evidence")
-    value, vertex, extreme = best
-    return OracleResult(value, vertex, extreme, query_hash(q))
+def brute_force_upper(
+    prior: Capacity, likelihoods: LikelihoodSet, masks, exhaustive: bool = False
+) -> list[OracleResult]:
+    """For each mask, maximize the precise posterior of the event over core
+    points and extreme likelihoods; zero-evidence pairs are skipped.
 
-
-def _max_over_vertices(q: PosteriorQuery, extremes):
-    vertices = core_vertices_two_monotone(q.prior)
-    best = None
-    for v in vertices:
-        for e in extremes:
-            try:
-                val = precise_posterior(v, e, q.event)
-            except ZeroEvidence:
-                continue
-            if best is None or val > best[0]:
-                best = (val, v, e)
-    return best
-
-
-def _max_over_lp(q: PosteriorQuery, extremes):
-    best = None
-    for e in extremes:
-        got = _fractional_lp(q.prior, e, q.event)
-        if got is None:
-            continue
-        val, vertex = got
-        if best is None or val > best[0]:
-            best = (val, vertex, e)
-    return best
+    A 2-alternating prior's core vertices are enumerated once per call
+    and shared by every mask; any other prior runs one fractional LP per
+    (mask, extreme likelihood).
+    """
+    space = prior.space
+    if space != likelihoods.space:
+        raise ValueError("prior and likelihood set live on different spaces")
+    if space.n > MAX_ORACLE_OUTCOMES:
+        raise SpaceTooLarge(f"oracle needs n <= {MAX_ORACLE_OUTCOMES}, got {space.n}")
+    vertices = core_vertices_two_monotone(prior) if is_two_alternating(prior) else None
+    results = []
+    for event in masks:
+        space.check_mask(event)
+        extremes = extreme_likelihoods(likelihoods, event, exhaustive)
+        best = None
+        if vertices is not None:
+            for v in vertices:
+                for e in extremes:
+                    try:
+                        val = precise_posterior(v, e, event)
+                    except ZeroEvidence:
+                        continue
+                    if best is None or val > best[0]:
+                        best = (val, v, e)
+        else:
+            for e in extremes:
+                got = _fractional_lp(prior, e, event)
+                if got is not None and (best is None or got[0] > best[0]):
+                    best = (*got, e)
+        if best is None:
+            raise AllZeroEvidence("every (prior, likelihood) pair had zero evidence")
+        results.append(OracleResult(*best))
+    return results
 
 
 def _fractional_lp(prior: Capacity, e: Functional, event: int):
@@ -160,7 +159,7 @@ def _fractional_lp(prior: Capacity, e: Functional, event: int):
     if sol.status == "infeasible":
         return None
     if sol.status != "optimal":
-        raise ArithmeticError(f"fractional LP reported {sol.status}")
+        raise SolverError(f"fractional LP reported {sol.status}")
     t = sol.x[n]
     if t <= 0:
         return None
@@ -175,61 +174,73 @@ def _fractional_lp(prior: Capacity, e: Functional, event: int):
 
 
 def verify_theorem(
-    q: PosteriorQuery, exhaustive: bool = False, tol=None
-) -> PosteriorReport:
-    """Full report for one query: oracle values, both bounds on both
-    sides, the chain assertion and the equality diagnosis.
+    prior: Capacity, likelihoods: LikelihoodSet, masks, tol=None
+) -> list[PosteriorReport]:
+    """Full report per mask: oracle values, both bounds on both sides,
+    the chain assertion and the equality diagnosis.
 
-    Raises :class:`ChainViolation` when the oracle exceeds a bound or the
-    bounds cross; that is always treated as a defect first.
+    The masks and their complements are checked by one oracle call and
+    one :func:`bounds_report` call. Raises :class:`ChainViolation` at the
+    first mask whose oracle exceeds a bound or whose bounds cross; that
+    is always treated as a defect first.
     """
     if tol is None:
-        tol = opt_tol(q.exact)
-    comp = q.complement()
-    res = brute_force_upper(q, exhaustive)
-    res_c = brute_force_upper(comp, exhaustive)
+        tol = opt_tol(prior.exact and likelihoods.exact)
+    space = prior.space
+    masks = list(masks)
+    sides = list(dict.fromkeys(s for m in masks for s in (m, space.complement(m))))
+    oracle = dict(zip(sides, brute_force_upper(prior, likelihoods, sides)))
+    bounds = dict(zip(sides, bounds_report(prior, likelihoods, sides)))
 
-    rep, rep_c = bounds_report(q.prior, q.likelihoods, [q.event, comp.event])
-    uv, uc = rep.bound_vertex, rep.bound_choquet
-    uv_c, uc_c = rep_c.bound_vertex, rep_c.bound_choquet
+    reports = []
+    for event in masks:
+        comp = space.complement(event)
+        res, res_c = oracle[event], oracle[comp]
+        rep, rep_c = bounds[event], bounds[comp]
+        uv, uc = rep.bound_vertex, rep.bound_choquet
+        uv_c, uc_c = rep_c.bound_vertex, rep_c.bound_choquet
+        instance_hash = query_hash(prior, likelihoods, event)
 
-    details = {
-        "event": q.space.event_key(q.event),
-        "oracle": float(res.value),
-        "bound_vertex": float(uv),
-        "bound_choquet": float(uc),
-        "oracle_complement": float(res_c.value),
-        "bound_vertex_complement": float(uv_c),
-        "bound_choquet_complement": float(uc_c),
-        "instance_hash": res.instance_hash,
-    }
-    for oracle_val, vertex_val, choquet_val in (
-        (res.value, uv, uc),
-        (res_c.value, uv_c, uc_c),
-    ):
-        if oracle_val > vertex_val + tol:
-            raise ChainViolation("oracle exceeded the vertex bound", details)
-        if vertex_val > choquet_val + tol:
-            raise ChainViolation("vertex bound exceeded the Choquet bound", details)
+        details = {
+            "event": space.event_key(event),
+            "oracle": float(res.value),
+            "bound_vertex": float(uv),
+            "bound_choquet": float(uc),
+            "oracle_complement": float(res_c.value),
+            "bound_vertex_complement": float(uv_c),
+            "bound_choquet_complement": float(uc_c),
+            "instance_hash": instance_hash,
+        }
+        for oracle_val, vertex_val, choquet_val in (
+            (res.value, uv, uc),
+            (res_c.value, uv_c, uc_c),
+        ):
+            if oracle_val > vertex_val + tol:
+                raise ChainViolation("oracle exceeded the vertex bound", details)
+            if vertex_val > choquet_val + tol:
+                raise ChainViolation("vertex bound exceeded the Choquet bound", details)
 
-    if rep.equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL:
-        if abs(uv - res.value) > tol or abs(uc - res.value) > tol:
-            raise ChainViolation(
-                "equality clause failed for a concave prior with member envelopes",
-                details,
+        if rep.equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL:
+            if abs(uv - res.value) > tol or abs(uc - res.value) > tol:
+                raise ChainViolation(
+                    "equality clause failed for a concave prior with member envelopes",
+                    details,
+                )
+            diagnosis = EqualityDiagnosis.PROVEN_EQUAL
+        elif uv - res.value <= tol and uc - uv <= tol:
+            diagnosis = EqualityDiagnosis.NUMERICALLY_EQUAL
+        else:
+            diagnosis = EqualityDiagnosis.STRICT_GAP
+
+        reports.append(
+            replace(
+                rep,
+                equality_diagnosis=diagnosis,
+                oracle=res.value,
+                lower_oracle=1 - res_c.value,
+                achieving_prior=res.achieving_prior.mass,
+                achieving_likelihood=res.achieving_likelihood.values,
+                instance_hash=instance_hash,
             )
-        diagnosis = EqualityDiagnosis.PROVEN_EQUAL
-    elif uv - res.value <= tol and uc - uv <= tol:
-        diagnosis = EqualityDiagnosis.NUMERICALLY_EQUAL
-    else:
-        diagnosis = EqualityDiagnosis.STRICT_GAP
-
-    return replace(
-        rep,
-        equality_diagnosis=diagnosis,
-        oracle=res.value,
-        lower_oracle=1 - res_c.value,
-        achieving_prior=res.achieving_prior.mass,
-        achieving_likelihood=res.achieving_likelihood.values,
-        instance_hash=res.instance_hash,
-    )
+        )
+    return reports

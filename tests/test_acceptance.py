@@ -55,6 +55,18 @@ def _bounds(q):
     return bounds_report(q.prior, q.likelihoods, [q.event])[0]
 
 
+def _oracle(q, exhaustive=False):
+    return brute_force_upper(q.prior, q.likelihoods, [q.event], exhaustive)[0]
+
+
+def _verify(q, tol=None):
+    return verify_theorem(q.prior, q.likelihoods, [q.event], tol=tol)[0]
+
+
+def _complement(q):
+    return PosteriorQuery(q.prior, q.likelihoods, q.space.complement(q.event))
+
+
 def _report(num, label, elapsed):
     print(f"[acceptance] criterion {num} ({label}): PASS in {elapsed:.1f}s")
 
@@ -139,20 +151,19 @@ def test_criterion_5_singleton_reduction():
         prior = random_contamination(rng, space)
         L = Functional(space, tuple(rng.uniform(0.05, 1) for _ in range(space.n)))
         ev = rng.randint(1, space.full_mask)
-        via_family = PosteriorQuery(prior, LikelihoodSet.family([L]), ev, check_core=False)
-        via_band = PosteriorQuery(prior, LikelihoodSet.band(L, L), ev, check_core=False)
+        via_family = PosteriorQuery(prior, LikelihoodSet.family([L]), ev)
+        via_band = PosteriorQuery(prior, LikelihoodSet.band(L, L), ev)
         by_family, by_band = _bounds(via_family), _bounds(via_band)
         assert by_family.bound_vertex == by_band.bound_vertex
         assert by_family.bound_choquet == by_band.bound_choquet
         assert by_family.lower_vertex == by_band.lower_vertex
-        assert brute_force_upper(via_family).value == brute_force_upper(via_band).value
+        assert _oracle(via_family).value == _oracle(via_band).value
     for _ in range(200):
         space = _space(rng.randint(2, 6))
         p = random_probability_vector(rng, space)
         L = Functional(space, tuple(rng.uniform(0.05, 1) for _ in range(space.n)))
         ev = rng.randint(1, space.full_mask - 1)
-        q = PosteriorQuery(additive_capacity(p), LikelihoodSet.family([L]), ev,
-                           check_core=False)
+        q = PosteriorQuery(additive_capacity(p), LikelihoodSet.family([L]), ev)
         want = precise_posterior(p, L, ev)
         rep = _bounds(q)
         assert abs(rep.bound_vertex - want) <= 1e-12
@@ -216,12 +227,12 @@ def test_criterion_7_conjugacy_identities():
             k = conjugate(q.prior)
             assert conjugate(k) is q.prior
             assert conjugate(k).values == q.prior.values
-            comp = q.complement()
+            comp = _complement(q)
             rep, rep_c = _bounds(q), _bounds(comp)
             assert rep.lower_vertex == 1 - rep_c.bound_vertex
             assert rep.lower_choquet == 1 - rep_c.bound_choquet
-            rep = verify_theorem(q)
-            assert rep.lower_oracle == 1 - brute_force_upper(comp).value
+            rep = _verify(q)
+            assert rep.lower_oracle == 1 - _oracle(comp).value
     elapsed = time.monotonic() - start
     _report(7, "conjugacy identities", elapsed)
 
@@ -235,9 +246,9 @@ def test_criterion_8_bang_bang_sufficiency():
         prior = random_contamination(rng, space)
         band = random_band(rng, space)
         ev = rng.randint(1, space.full_mask)
-        q = PosteriorQuery(prior, band, ev, check_core=False)
-        fast = brute_force_upper(q, exhaustive=False).value
-        full = brute_force_upper(q, exhaustive=True).value
+        q = PosteriorQuery(prior, band, ev)
+        fast = _oracle(q, exhaustive=False).value
+        full = _oracle(q, exhaustive=True).value
         assert abs(fast - full) <= 1e-12
     elapsed = time.monotonic() - start
     _report(8, "switch-vector sufficiency", elapsed)
@@ -252,13 +263,13 @@ def test_criterion_9_worked_fixture_exact():
         Functional(space, (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)))
     )
     q = PosteriorQuery(prior, lik, space.mask_of(["theta1"]))
-    oracle = brute_force_upper(q).value
+    oracle = _oracle(q).value
     assert oracle == Fraction(4, 7)
     bounds = _bounds(q)
     assert bounds.bound_vertex == Fraction(4, 7)
     assert bounds.bound_choquet == Fraction(4, 7)
     assert abs(bounds.bound_vertex - Fraction(4, 7)) <= Fraction(1, 10**12)
-    rep = verify_theorem(q, tol=0)
+    rep = _verify(q, tol=0)
     assert rep.equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL
     elapsed = time.monotonic() - start
     _report(9, "worked fixture 4/7", elapsed)

@@ -50,6 +50,14 @@ def _report(q):
     return bounds_report(q.prior, q.likelihoods, [q.event])[0]
 
 
+def _oracle(q):
+    return brute_force_upper(q.prior, q.likelihoods, [q.event])[0]
+
+
+def _complement(q):
+    return PosteriorQuery(q.prior, q.likelihoods, q.space.complement(q.event))
+
+
 class TestLikelihoodSet:
     def test_band_orders_envelopes(self):
         lo = Functional(SP3, (0.1, 0.2, 0.3))
@@ -113,8 +121,7 @@ class TestUpperBounds:
             space = _space(rng.randint(3, 6))
             prior = random_monotone_capacity(rng, space)
             q = PosteriorQuery(
-                prior, random_band(rng, space), rng.randint(1, space.full_mask),
-                check_core=False,
+                prior, random_band(rng, space), rng.randint(1, space.full_mask)
             )
             rep = _report(q)
             assert rep.bound_vertex <= rep.bound_choquet + 1e-9
@@ -123,7 +130,7 @@ class TestUpperBounds:
         bad = Capacity(OutcomeSpace(("a", "b")), (0, 0.2, 0.2, 1))
         lik = LikelihoodSet.precise(Functional(bad.space, (1.0, 1.0)))
         with pytest.raises(InfeasibleCore):
-            PosteriorQuery(bad, lik, 0b01)
+            bounds_report(bad, lik, [0b01])
 
 
 class TestLowerBound:
@@ -147,7 +154,7 @@ class TestLowerBound:
     def test_conjugacy_via_complement(self):
         q = _fixture_query()
         rep = _report(q)
-        comp = _report(q.complement())
+        comp = _report(_complement(q))
         assert rep.lower_vertex == 1 - comp.bound_vertex
         assert rep.lower_choquet == 1 - comp.bound_choquet
 
@@ -161,8 +168,8 @@ class TestScaleInvariance:
             band = random_band(rng, space)
             ev = rng.randint(1, space.full_mask)
             lam = rng.uniform(0.1, 9.0)
-            q1 = PosteriorQuery(prior, band, ev, check_core=False)
-            q2 = PosteriorQuery(prior, band.scaled(lam), ev, check_core=False)
+            q1 = PosteriorQuery(prior, band, ev)
+            q2 = PosteriorQuery(prior, band.scaled(lam), ev)
             r1, r2 = _report(q1), _report(q2)
             assert r1.bound_vertex == pytest.approx(r2.bound_vertex, abs=1e-12)
             assert r1.bound_choquet == pytest.approx(r2.bound_choquet, abs=1e-12)
@@ -250,9 +257,9 @@ class TestPosteriorCapacity:
                     else:
                         assert post[m] == pytest.approx(rep.bound_vertex, abs=1e-12)
                     if n <= 5:
-                        q = PosteriorQuery(prior, band, m, check_core=False)
+                        q = PosteriorQuery(prior, band, m)
                         assert post[m] == pytest.approx(
-                            float(brute_force_upper(q).value), abs=1e-9
+                            float(_oracle(q).value), abs=1e-9
                         )
 
 

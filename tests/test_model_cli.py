@@ -255,23 +255,26 @@ class TestReplayDumps:
         assert m.prior.exact and m.prior.values == q.prior.values
 
 
+def _counter(calls):
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    return counted
+
+
 def test_sweep_and_iterate_lp_traffic(tmp_path, monkeypatch):
     """An n=6 sweep solves each of its 2 * 2**n LPs once and checks the
     core once; iterate solves no LP at all."""
     from credal_bayes import bayes, optim
 
     calls = {"expectation": 0, "core": 0, "solve": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    counted = _counter(calls)
 
     for name in ("sup_expectation", "inf_expectation"):
         monkeypatch.setattr(bayes, name, counted("expectation", getattr(bayes, name)))
-    for module in (cli, bayes):
-        monkeypatch.setattr(module, "is_core_empty", counted("core", module.is_core_empty))
+    monkeypatch.setattr(cli, "is_core_empty", counted("core", cli.is_core_empty))
     monkeypatch.setattr(optim, "solve", counted("solve", optim.solve))
 
     doc = _base_model()
@@ -295,6 +298,48 @@ def test_sweep_and_iterate_lp_traffic(tmp_path, monkeypatch):
     code, out, err = _run(["iterate", mp, op, "--json"])
     assert code == 0, err
     assert calls == {"expectation": 0, "core": 0, "solve": 0}
+
+
+def test_verify_walks_the_core_once(tmp_path, monkeypatch):
+    """verify on all 2**n events of an n=5 model walks the core's vertices
+    once and solves each of its 2 * 2**n LPs once; one campaign instance
+    walks them once."""
+    from credal_bayes import bayes, oracle
+
+    calls = {"walk": 0, "expectation": 0}
+    counted = _counter(calls)
+    monkeypatch.setattr(
+        oracle, "core_vertices_two_monotone",
+        counted("walk", oracle.core_vertices_two_monotone),
+    )
+    for name in ("sup_expectation", "inf_expectation"):
+        monkeypatch.setattr(bayes, name, counted("expectation", getattr(bayes, name)))
+
+    doc = _base_model()
+    doc["outcomes"] = ["a", "b", "c", "d", "e"]
+    doc["prior"] = {"kind": "eps-contamination", "p": [0.3, 0.2, 0.2, 0.2, 0.1], "eps": 0.2}
+    doc["likelihood"] = {"band": {"lower": [0.4, 0.3, 0.2, 0.1, 0.3],
+                                  "upper": [0.5, 0.4, 0.3, 0.2, 0.6]}}
+    doc["events"] = "all"
+    code, out, err = _run(["verify", _write(tmp_path, doc), "--json"])
+    assert code == 0, err
+    assert json.loads(out.splitlines()[-1])["summary"]["events"] == 2**5
+    assert calls == {"walk": 1, "expectation": 2 * 2**5}
+
+    calls.update(walk=0, expectation=0)
+    code, _, err = _run(["verify", "--random", "1"])
+    assert code == 0, err
+    assert calls["walk"] == 1
+
+
+def test_solver_failure_is_reported_without_traceback(tmp_path, monkeypatch):
+    from credal_bayes import _simplex
+
+    monkeypatch.setattr(_simplex, "_MAX_ITER", 0)
+    code, _, err = _run(["update", _write(tmp_path, _base_model())])
+    assert code == 2
+    assert "iteration limit" in err
+    assert "Traceback" not in err
 
 
 class TestIterate:

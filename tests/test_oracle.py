@@ -26,6 +26,7 @@ from credal_bayes.campaign import (
     random_contamination,
     random_distortion,
     random_monotone_capacity,
+    random_prior,
     random_probability_vector,
     random_query,
 )
@@ -38,6 +39,14 @@ SP3 = OutcomeSpace(("t1", "t2", "t3"))
 
 def _space(n):
     return OutcomeSpace(tuple(f"x{i}" for i in range(n)))
+
+
+def _oracle(q, exhaustive=False):
+    return brute_force_upper(q.prior, q.likelihoods, [q.event], exhaustive)[0]
+
+
+def _verify(q, tol=None):
+    return verify_theorem(q.prior, q.likelihoods, [q.event], tol=tol)[0]
 
 
 def random_core_points(c, count, rng):
@@ -88,7 +97,7 @@ class TestBruteForce:
         p = ProbabilityVector(SP3, (0.5, 0.3, 0.2))
         L = Functional(SP3, (0.4, 0.9, 0.1))
         q = PosteriorQuery(additive_capacity(p), LikelihoodSet.precise(L), 0b010)
-        res = brute_force_upper(q)
+        res = _oracle(q)
         assert res.value == pytest.approx(precise_posterior(p, L, 0b010), abs=1e-12)
 
     def test_worked_fixture_vertex(self):
@@ -96,7 +105,7 @@ class TestBruteForce:
         q = PosteriorQuery(
             prior, LikelihoodSet.precise(Functional(SP3, (0.5, 0.3, 0.2))), 0b001
         )
-        res = brute_force_upper(q)
+        res = _oracle(q)
         assert res.value == pytest.approx(4 / 7, abs=1e-12)
         assert res.achieving_prior.mass == pytest.approx((0.4, 0.3, 0.3), abs=1e-12)
 
@@ -105,14 +114,14 @@ class TestBruteForce:
         L = Functional(SP3, (0.5, 0.3, 0.2))
         prec = PosteriorQuery(prior, LikelihoodSet.precise(L), 0b011)
         band = PosteriorQuery(prior, LikelihoodSet.band(L, L), 0b011)
-        assert brute_force_upper(prec).value == brute_force_upper(band).value
+        assert _oracle(prec).value == _oracle(band).value
 
     def test_achieving_pair_reproduces_value(self):
         rng = Random(103)
         for family in ("contamination", "distortion", "arbitrary"):
             for _ in range(15):
                 q = random_query(rng, family, max_n=5)
-                res = brute_force_upper(q)
+                res = _oracle(q)
                 again = precise_posterior(res.achieving_prior, res.achieving_likelihood, q.event)
                 assert again == pytest.approx(res.value, abs=1e-12)
 
@@ -120,21 +129,21 @@ class TestBruteForce:
         prior = epsilon_contamination(uniform_vector(SP3), 0.3)
         dead = LikelihoodSet.precise(Functional(SP3, (0.0, 0.0, 0.0)))
         with pytest.raises(AllZeroEvidence):
-            brute_force_upper(PosteriorQuery(prior, dead, 0b001))
+            _oracle(PosteriorQuery(prior, dead, 0b001))
 
     def test_space_cap(self):
         space = _space(11)
         prior = epsilon_contamination(uniform_vector(space), 0.1)
         lik = LikelihoodSet.precise(Functional(space, (1.0,) * 11))
         with pytest.raises(SpaceTooLarge):
-            brute_force_upper(PosteriorQuery(prior, lik, 1, check_core=False))
+            _oracle(PosteriorQuery(prior, lik, 1))
 
     def test_exact_mode(self):
         prior = epsilon_contamination(uniform_vector(SP3, exact=True), Fraction(1, 10))
         lik = LikelihoodSet.precise(
             Functional(SP3, (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)))
         )
-        res = brute_force_upper(PosteriorQuery(prior, lik, 0b001))
+        res = _oracle(PosteriorQuery(prior, lik, 0b001))
         assert res.value == Fraction(4, 7)
         assert res.achieving_prior.mass == (
             Fraction(2, 5), Fraction(3, 10), Fraction(3, 10),
@@ -149,9 +158,9 @@ class TestBangBang:
             prior = random_contamination(rng, space)
             band = random_band(rng, space)
             ev = rng.randint(1, space.full_mask)
-            q = PosteriorQuery(prior, band, ev, check_core=False)
-            fast = brute_force_upper(q, exhaustive=False)
-            full = brute_force_upper(q, exhaustive=True)
+            q = PosteriorQuery(prior, band, ev)
+            fast = _oracle(q, exhaustive=False)
+            full = _oracle(q, exhaustive=True)
             assert abs(fast.value - full.value) <= 1e-12
 
     def test_switch_vector_shape(self):
@@ -171,8 +180,8 @@ class TestVertexSufficiency:
             prior = random_distortion(rng, space)
             band = random_band(rng, space)
             ev = rng.randint(1, space.full_mask)
-            q = PosteriorQuery(prior, band, ev, check_core=False)
-            res = brute_force_upper(q)
+            q = PosteriorQuery(prior, band, ev)
+            res = _oracle(q)
             e = bang_bang_likelihood(band, ev)
             for p in random_core_points(prior, 1000, rng):
                 assert precise_posterior(p, e, ev) <= res.value + 1e-9
@@ -183,7 +192,7 @@ class TestVerify:
         rng = Random(113)
         for family in ("contamination", "distortion"):
             for _ in range(20):
-                rep = verify_theorem(random_query(rng, family, max_n=5))
+                rep = _verify(random_query(rng, family, max_n=5))
                 assert rep.equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL
                 assert abs(rep.oracle - rep.bound_vertex) <= 1e-9
                 assert abs(rep.oracle - rep.bound_choquet) <= 1e-9
@@ -191,7 +200,7 @@ class TestVerify:
     def test_arbitrary_priors_hold_the_chain(self):
         rng = Random(127)
         for _ in range(30):
-            rep = verify_theorem(random_query(rng, "arbitrary", max_n=5))
+            rep = _verify(random_query(rng, "arbitrary", max_n=5))
             assert rep.oracle <= rep.bound_vertex + 1e-9
             assert rep.bound_vertex <= rep.bound_choquet + 1e-9
             assert rep.equality_diagnosis in (
@@ -207,9 +216,10 @@ class TestVerify:
         rng = Random(seed)
         for _ in range(index + 1):
             q = random_query(rng, "arbitrary")
-        verify_theorem(q)  # raises ChainViolation on a broken chain
-        for side in (q, q.complement()):
-            assert core_membership(side.prior, brute_force_upper(side).achieving_prior)
+        _verify(q)  # raises ChainViolation on a broken chain
+        sides = [q.event, q.space.complement(q.event)]
+        for res in brute_force_upper(q.prior, q.likelihoods, sides):
+            assert core_membership(q.prior, res.achieving_prior)
 
     def test_singleton_family_matches_precise_path(self):
         rng = Random(131)
@@ -218,18 +228,18 @@ class TestVerify:
             prior = random_contamination(rng, space)
             L = Functional(space, tuple(rng.uniform(0.05, 1) for _ in range(space.n)))
             ev = rng.randint(1, space.full_mask)
-            via_family = PosteriorQuery(prior, LikelihoodSet.family([L]), ev, check_core=False)
-            via_band = PosteriorQuery(prior, LikelihoodSet.band(L, L), ev, check_core=False)
+            via_family = PosteriorQuery(prior, LikelihoodSet.family([L]), ev)
+            via_band = PosteriorQuery(prior, LikelihoodSet.band(L, L), ev)
             by_family = bounds_report(prior, via_family.likelihoods, [ev])[0]
             by_band = bounds_report(prior, via_band.likelihoods, [ev])[0]
             assert by_family.bound_vertex == by_band.bound_vertex
-            assert brute_force_upper(via_family).value == brute_force_upper(via_band).value
+            assert _oracle(via_family).value == _oracle(via_band).value
 
     def test_exact_and_float_agree(self):
         rng = Random(137)
         for _ in range(8):
             q = random_query(rng, "contamination", exact=True, max_n=4)
-            rep = verify_theorem(q, tol=0)
+            rep = _verify(q, tol=0)
             prior_f = type(q.prior)(
                 q.prior.space, tuple(float(v) for v in q.prior.values)
             )
@@ -237,14 +247,32 @@ class TestVerify:
                 Functional(q.space, tuple(float(v) for v in q.likelihoods.lower.values)),
                 Functional(q.space, tuple(float(v) for v in q.likelihoods.upper.values)),
             )
-            qf = PosteriorQuery(prior_f, band_f, q.event, check_core=False)
-            rep_f = verify_theorem(qf)
+            qf = PosteriorQuery(prior_f, band_f, q.event)
+            rep_f = _verify(qf)
             assert float(rep.bound_vertex) == pytest.approx(rep_f.bound_vertex, abs=1e-9)
             assert float(rep.oracle) == pytest.approx(rep_f.oracle, abs=1e-9)
+
+    def test_batch_equals_singles(self):
+        # the family holds a scaled copy, so achieving pairs tie and the
+        # reports agree only if both paths keep the same loop order
+        rng = Random(149)
+        for family in ("contamination", "distortion", "arbitrary"):
+            for _ in range(2):
+                space = _space(rng.randint(3, 5))
+                prior = random_prior(rng, space, family)
+                a, b = (
+                    Functional(space, tuple(rng.uniform(0.05, 1) for _ in range(space.n)))
+                    for _ in range(2)
+                )
+                for lik in (random_band(rng, space), LikelihoodSet.family([a, b, a.scaled(2)])):
+                    masks = range(space.size)
+                    batch = verify_theorem(prior, lik, masks)
+                    assert batch == [verify_theorem(prior, lik, [m])[0] for m in masks]
 
     def test_hash_is_stable_and_content_sensitive(self):
         q1 = random_query(Random(139), "contamination")
         q2 = random_query(Random(139), "contamination")
         q3 = random_query(Random(140), "contamination")
-        assert query_hash(q1) == query_hash(q2)
-        assert query_hash(q1) != query_hash(q3)
+        h1, h2, h3 = (query_hash(q.prior, q.likelihoods, q.event) for q in (q1, q2, q3))
+        assert h1 == h2
+        assert h1 != h3
