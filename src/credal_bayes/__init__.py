@@ -25,12 +25,8 @@ from .capacity import (
     vacuous_capacity,
     validate,
 )
-from .choquet import Functional, choquet_lower, choquet_upper, indicator
-from .credal import (
-    core_membership,
-    core_vertices_two_monotone,
-    is_core_empty,
-)
+from .choquet import Functional, choquet_lower, choquet_upper
+from .credal import core_vertices_two_monotone, is_core_empty
 from .optim import ExpectationBound, inf_expectation, sup_expectation
 from .bayes import (
     EqualityDiagnosis,
@@ -72,8 +68,6 @@ __all__ = [
     "Functional",
     "choquet_lower",
     "choquet_upper",
-    "indicator",
-    "core_membership",
     "core_vertices_two_monotone",
     "is_core_empty",
     "ExpectationBound",

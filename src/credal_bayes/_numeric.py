@@ -5,12 +5,12 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 
-# Structural checks: normalization, monotonicity, vertex deduplication.
+# Structural checks: normalization, monotonicity, vertex deduplication,
+# and the floor at or below which a posterior denominator is undefined.
 STRUCT_TOL = 1e-12
-# Optimization comparisons: LP vs Choquet agreement, chain slack, membership.
+# Optimization comparisons: LP vs Choquet agreement, chain slack, LP
+# optimizer sums, and the posterior sweep's monotonicity clamp.
 OPT_TOL = 1e-9
-# Denominators at or below this are treated as undefined ratios (float mode).
-RATIO_TOL = 1e-12
 
 
 def exact_number(x) -> bool:

@@ -35,7 +35,7 @@ import enum
 import logging
 from dataclasses import dataclass
 
-from ._numeric import RATIO_TOL, encode_number
+from ._numeric import encode_number, opt_tol, struct_tol
 from .capacity import Capacity, OutcomeSpace
 from .capacity import is_two_alternating
 from .choquet import Functional, choquet_lower, choquet_upper, pointwise_max, pointwise_min
@@ -43,10 +43,6 @@ from .errors import NotMonotone, NotTwoAlternating, UndefinedRatio
 from .optim import inf_expectation, sup_expectation
 
 log = logging.getLogger(__name__)
-
-# Posterior sweeps clamp monotonicity noise up to this much; anything
-# larger aborts as a defect.
-CLAMP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,11 +97,6 @@ class LikelihoodSet:
     @property
     def exact(self) -> bool:
         return self.lower.exact and self.upper.exact
-
-    def scaled(self, factor) -> "LikelihoodSet":
-        if self.form == "band":
-            return LikelihoodSet.band(self.lower.scaled(factor), self.upper.scaled(factor))
-        return LikelihoodSet.family(tuple(m.scaled(factor) for m in self.members))
 
 
 @dataclass(frozen=True)
@@ -187,10 +178,6 @@ class PosteriorReport:
         }
 
 
-def _ratio_floor(exact: bool):
-    return 0 if exact else RATIO_TOL
-
-
 def _vertex_parts(prior: Capacity, likelihoods: LikelihoodSet, event: int):
     """Numerator bound, denominator and the sup-side optimizer, via LP."""
     space = prior.space
@@ -199,7 +186,7 @@ def _vertex_parts(prior: Capacity, likelihoods: LikelihoodSet, event: int):
     sup = sup_expectation(prior, num_f)
     inf = inf_expectation(prior, den_f)
     denom = sup.value + inf.value
-    if denom <= _ratio_floor(prior.exact and likelihoods.exact):
+    if denom <= struct_tol(prior.exact and likelihoods.exact):
         raise UndefinedRatio(
             f"denominator vanished for event {space.event_key(event)!r}",
             event=event,
@@ -211,7 +198,7 @@ def _choquet_parts(prior: Capacity, likelihoods: LikelihoodSet, event: int):
     space = prior.space
     num = choquet_upper(prior, likelihoods.upper.restricted(event))
     den = num + choquet_lower(prior, likelihoods.lower.restricted(space.complement(event)))
-    if den <= _ratio_floor(prior.exact and likelihoods.exact):
+    if den <= struct_tol(prior.exact and likelihoods.exact):
         raise UndefinedRatio(
             f"denominator vanished for event {space.event_key(event)!r}",
             event=event,
@@ -311,7 +298,7 @@ def posterior_capacity(prior: Capacity, likelihoods: LikelihoodSet) -> Capacity:
     values: list = [None] * space.size
     values[0] = 0
     values[full] = 1
-    clamp = 0 if (prior.exact and likelihoods.exact) else CLAMP_TOL
+    clamp = opt_tol(prior.exact and likelihoods.exact)
     for mask in space.events_by_size():
         if mask == 0 or mask == full:
             continue

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from ._numeric import OPT_TOL
-from .bayes import EqualityDiagnosis, LikelihoodSet, PosteriorQuery
+from ._numeric import opt_tol
+from .bayes import LikelihoodSet, PosteriorQuery
 from .capacity import (
     Capacity,
     OutcomeSpace,
@@ -169,7 +169,7 @@ def run_campaign(
     violation, recording its detail for replay.
     """
     if tol is None:
-        tol = 0 if exact else OPT_TOL
+        tol = opt_tol(exact)
     rng = Random(seed)
     summary = CampaignSummary(count=count, seed=seed, family=family, exact=exact)
     for idx in range(count):

@@ -26,10 +26,11 @@ from ._numeric import (
     parse_number,
     struct_tol,
 )
-from .errors import EmptyFamily, NotMonotone, NotNormalized, SpaceTooLarge
+from .errors import EmptyFamily, NotMonotone, NotNormalized
 
-MAX_OUTCOMES = 20          # dense 2**n storage cap
-MAX_PAIR_CHECK = 12        # concavity check cap
+# The one size cap: dense 2**n storage, the concavity check, every core
+# LP and every sweep stay practical up to here.
+MAX_OUTCOMES = 12
 
 
 @dataclass(frozen=True)
@@ -161,15 +162,6 @@ class ProbabilityVector:
     def exact(self) -> bool:
         return self._exact
 
-    def event_mass(self, mask: int):
-        """Total weight of an event, summed in ascending outcome order."""
-        self.space.check_mask(mask)
-        total = 0
-        for i in range(self.space.n):
-            if mask >> i & 1:
-                total += self.mass[i]
-        return total
-
     def mass_table(self) -> list:
         return event_mass_table(self.mass, self.space.n)
 
@@ -287,15 +279,10 @@ def is_two_alternating(c: Capacity) -> CheckResult:
     The local form c(A+i) + c(A+j) >= c(A+i+j) + c(A), for outcomes
     i != j outside A, implies the general one, so only those
     O(n^2 2^n) quadruples are compared. Returns the witness pair
-    (A+i, A+j) on failure. Capped at 12 outcomes. The verdict is
-    memoised on the capacity.
+    (A+i, A+j) on failure. The verdict is memoised on the capacity.
     """
     if c._two_alternating is not None:
         return c._two_alternating
-    if c.space.n > MAX_PAIR_CHECK:
-        raise SpaceTooLarge(
-            f"concavity check needs n <= {MAX_PAIR_CHECK}, got {c.space.n}"
-        )
     result = _two_alternating_result(c, struct_tol(c.exact))
     object.__setattr__(c, "_two_alternating", result)
     return result

@@ -47,16 +47,6 @@ class Functional:
         vals = tuple(v if mask >> i & 1 else 0 for i, v in enumerate(self.values))
         return Functional(self.space, vals)
 
-    def scaled(self, factor) -> "Functional":
-        if factor < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return Functional(self.space, tuple(factor * v for v in self.values))
-
-
-def indicator(space: OutcomeSpace, mask: int) -> Functional:
-    space.check_mask(mask)
-    return Functional(space, tuple(1 if mask >> i & 1 else 0 for i in range(space.n)))
-
 
 def pointwise_max(fs) -> Functional:
     fs = list(fs)

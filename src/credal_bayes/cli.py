@@ -19,8 +19,8 @@ import logging
 import math
 import sys
 
-from ._numeric import OPT_TOL, encode_number
-from .bayes import LikelihoodSet, bounds_report, posterior_capacity
+from ._numeric import encode_number
+from .bayes import EqualityDiagnosis, bounds_report, posterior_capacity
 from .capacity import capacity_to_json, conjugate, is_two_alternating
 from .campaign import FAMILIES, run_campaign
 from .credal import is_core_empty
@@ -31,15 +31,13 @@ from .errors import (
     ModelError,
     UndefinedRatio,
 )
-from .model import ModelFile, load_model, parse_model
+from .model import load_model, load_observations
 from .oracle import verify_theorem
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNDEFINED = 3
 EXIT_VIOLATION = 4
-
-MAX_SWEEP_OUTCOMES = 12
 
 
 def _fmt(x) -> str:
@@ -63,15 +61,15 @@ def _event_name(space, mask: int) -> str:
 def cmd_update(args) -> int:
     model = load_model(args.model)
     masks = model.event_masks(sweep=args.sweep)
-    if args.sweep and model.space.n > MAX_SWEEP_OUTCOMES:
-        raise ModelError("$.outcomes", f"--sweep needs n <= {MAX_SWEEP_OUTCOMES}")
     if is_core_empty(model.prior):
         raise InfeasibleCore("the prior core is empty; no posterior exists")
 
     reports = bounds_report(model.prior, model.likelihoods, masks)
 
     posterior = None
-    if args.sweep and is_two_alternating(model.prior) and model.likelihoods.envelopes_are_members:
+    # A sweep covers every event, and bounds_report diagnoses them all
+    # alike: ProvenEqual exactly when the posterior sweep is valid.
+    if args.sweep and reports[0].equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL:
         posterior = posterior_capacity(model.prior, model.likelihoods)
 
     if args.json:
@@ -164,23 +162,7 @@ def _dump_violation(ex: ChainViolation) -> None:
 
 def cmd_iterate(args) -> int:
     model = load_model(args.model)
-    try:
-        with open(args.observations, encoding="utf-8") as fh:
-            obs_doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as ex:
-        raise ModelError("$", f"cannot read observations: {ex}")
-    if not isinstance(obs_doc, dict) or not isinstance(obs_doc.get("observations"), list):
-        raise ModelError("$.observations", "expected an object with an observations list")
-
-    from .model import _parse_likelihood  # shares the path-naming validation
-
-    steps: list[LikelihoodSet] = []
-    for i, entry in enumerate(obs_doc["observations"]):
-        steps.append(
-            _parse_likelihood(
-                entry, model.space, model.options.exact, path=f"$.observations[{i}]"
-            )
-        )
+    steps = load_observations(args.observations, model.space, model.options.exact)
 
     watched = model.event_masks()
     current = model.prior

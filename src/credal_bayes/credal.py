@@ -1,35 +1,22 @@
 """The core of a capacity as a concrete polytope.
 
-Membership testing and emptiness detection work for any capacity; vertex
-enumeration is provided only for 2-alternating (concave) capacities,
-where the extreme points are the marginal vectors of outcome orderings.
-General polytope vertex enumeration is deliberately absent: optimization
-over arbitrary cores goes through the LP path in :mod:`.optim`.
+Emptiness detection works for any capacity; vertex enumeration is
+provided only for 2-alternating (concave) capacities, where the extreme
+points are the marginal vectors of outcome orderings. General polytope
+vertex enumeration is deliberately absent: optimization over arbitrary
+cores goes through the LP path in :mod:`.optim`.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from ._numeric import opt_tol
-from .capacity import Capacity, CheckResult, ProbabilityVector
+from .capacity import Capacity, ProbabilityVector
 from .capacity import is_two_alternating
-from .errors import NotTwoAlternating, SpaceTooLarge
-from .optim import core_feasible, most_violated_event
+from .errors import InfeasibleCore, NotTwoAlternating, SpaceTooLarge
+from .optim import _solve_core
 
 MAX_VERTEX_OUTCOMES = 10  # n! orderings before deduplication
-
-
-def core_membership(c: Capacity, p: ProbabilityVector) -> CheckResult:
-    """Is ``p`` dominated by ``c`` on every event, within 1e-9 (exactly in
-    rational mode)?
-
-    On failure the witness is the maximally violated event mask.
-    """
-    if c.space != p.space:
-        raise ValueError("capacity and vector live on different spaces")
-    worst = most_violated_event(c, p.mass, opt_tol(c.exact and p.exact))
-    return CheckResult(worst is None, worst)
 
 
 def is_core_empty(c: Capacity) -> bool:
@@ -38,7 +25,11 @@ def is_core_empty(c: Capacity) -> bool:
     Feasibility reuses the cutting-plane LP with a zero objective;
     verdicts near the boundary are settled in exact arithmetic.
     """
-    return not core_feasible(c)
+    try:
+        _solve_core(c, [0] * c.space.n, True, c.exact)
+    except InfeasibleCore:
+        return True
+    return False
 
 
 def core_vertices_two_monotone(c: Capacity) -> tuple[ProbabilityVector, ...]:

@@ -165,6 +165,22 @@ def load_model(path: str) -> ModelFile:
     return parse_model(obj)
 
 
+def load_observations(path: str, space: OutcomeSpace, exact: bool) -> list[LikelihoodSet]:
+    """Read an observations file, ``{"observations": [<likelihood>, ...]}``,
+    into one likelihood set per step; failures name the JSON path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, json.JSONDecodeError) as ex:
+        raise ModelError("$", f"cannot read observations: {ex}") from ex
+    if not isinstance(obj, dict) or not isinstance(obj.get("observations"), list):
+        _fail("$.observations", "expected an object with an observations list")
+    return [
+        _parse_likelihood(entry, space, exact, path=f"$.observations[{i}]")
+        for i, entry in enumerate(obj["observations"])
+    ]
+
+
 def likelihood_to_json(likelihoods: LikelihoodSet) -> dict:
     if likelihoods.form == "band":
         return {

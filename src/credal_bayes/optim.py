@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._numeric import struct_tol, to_fraction
+from ._numeric import OPT_TOL, struct_tol, to_fraction
 from ._simplex import LPSolution, solve
 from .capacity import Capacity, OutcomeSpace, ProbabilityVector, event_mass_table
 from .choquet import Functional
-from .errors import InfeasibleCore, SolverError, SpaceTooLarge
+from .errors import InfeasibleCore, SolverError
 
-MAX_LP_OUTCOMES = 12
 # Float phase-1 residuals above this mean a definitely empty core; at or
 # below, the verdict is handed to the exact solver.
 AMBIGUOUS_FEAS = 1e-7
@@ -90,15 +89,6 @@ def core_lp(c: Capacity, objective, a_eq, b_eq, maximize: bool, exact: bool,
             b_ub.append(c.values[m])
 
 
-def _check_inputs(c: Capacity, f: Functional) -> None:
-    if c.space != f.space:
-        raise ValueError("capacity and functional live on different spaces")
-    if c.space.n > MAX_LP_OUTCOMES:
-        raise SpaceTooLarge(
-            f"core optimization needs n <= {MAX_LP_OUTCOMES}, got {c.space.n}"
-        )
-
-
 def _solve_core(c: Capacity, objective, maximize: bool, exact: bool):
     """Shared LP path; falls back to exact arithmetic near the feasibility
     boundary so empty-core verdicts are stable."""
@@ -122,17 +112,19 @@ def _solve_core(c: Capacity, objective, maximize: bool, exact: bool):
 
 
 def _vector_from_solution(space: OutcomeSpace, x, exact: bool) -> ProbabilityVector:
+    """The prior at an LP optimum: float mass is clipped at 0 and renormalised."""
     if exact:
         return ProbabilityVector(space, tuple(x))
     mass = [v if v > 0 else 0.0 for v in x]
     total = sum(mass)
-    if abs(total - 1) > 1e-9:
+    if abs(total - 1) > OPT_TOL:
         raise SolverError(f"LP optimizer sums to {total!r}; solver defect")
     return ProbabilityVector(space, tuple(v / total for v in mass))
 
 
 def _expectation(c: Capacity, f: Functional, maximize: bool) -> ExpectationBound:
-    _check_inputs(c, f)
+    if c.space != f.space:
+        raise ValueError("capacity and functional live on different spaces")
     exact = c.exact and f.exact
     sol = _solve_core(c, list(f.values), maximize, exact)
     argmax = _vector_from_solution(c.space, sol.x, exact)
@@ -154,15 +146,3 @@ def inf_expectation(c: Capacity, f: Functional) -> ExpectationBound:
     """
     return _expectation(c, f, maximize=False)
 
-
-def core_feasible(c: Capacity) -> bool:
-    """Phase-1 feasibility of the domination polytope (zero objective)."""
-    if c.space.n > MAX_LP_OUTCOMES:
-        raise SpaceTooLarge(
-            f"core feasibility needs n <= {MAX_LP_OUTCOMES}, got {c.space.n}"
-        )
-    try:
-        _solve_core(c, [0] * c.space.n, True, c.exact)
-    except InfeasibleCore:
-        return False
-    return True

@@ -20,8 +20,8 @@ Extreme likelihoods are the members of a family, or for a band the
 switch vectors equal to the upper envelope on some event B and the lower
 envelope elsewhere. The posterior ratio of A increases in the likelihood
 on A and decreases on the complement, so B = A always achieves the
-maximum; the exhaustive sweep over all B exists to validate exactly that
-claim.
+maximum; the tests check that claim by passing every switch vector as a
+family.
 """
 
 from __future__ import annotations
@@ -41,10 +41,8 @@ from .bayes import (
 from .capacity import Capacity, ProbabilityVector, is_two_alternating
 from .choquet import Functional
 from .credal import core_vertices_two_monotone
-from .errors import AllZeroEvidence, ChainViolation, SolverError, SpaceTooLarge, ZeroEvidence
-from .optim import core_lp
-
-MAX_ORACLE_OUTCOMES = 10
+from .errors import AllZeroEvidence, ChainViolation, SolverError, ZeroEvidence
+from .optim import _vector_from_solution, core_lp
 
 
 @dataclass(frozen=True)
@@ -73,16 +71,10 @@ def precise_posterior(p: ProbabilityVector, L: Functional, event: int):
     return num / den
 
 
-def extreme_likelihoods(
-    likelihoods: LikelihoodSet, event: int, exhaustive: bool = False
-):
+def extreme_likelihoods(likelihoods: LikelihoodSet, event: int):
     """The candidate maximizers the oracle sweeps."""
     if likelihoods.form == "family":
         return list(likelihoods.members)
-    if exhaustive:
-        return [
-            bang_bang_likelihood(likelihoods, b) for b in range(likelihoods.space.size)
-        ]
     return [bang_bang_likelihood(likelihoods, event)]
 
 
@@ -103,7 +95,7 @@ def query_hash(prior: Capacity, likelihoods: LikelihoodSet, event: int) -> str:
 
 
 def brute_force_upper(
-    prior: Capacity, likelihoods: LikelihoodSet, masks, exhaustive: bool = False
+    prior: Capacity, likelihoods: LikelihoodSet, masks
 ) -> list[OracleResult]:
     """For each mask, maximize the precise posterior of the event over core
     points and extreme likelihoods; zero-evidence pairs are skipped.
@@ -115,13 +107,11 @@ def brute_force_upper(
     space = prior.space
     if space != likelihoods.space:
         raise ValueError("prior and likelihood set live on different spaces")
-    if space.n > MAX_ORACLE_OUTCOMES:
-        raise SpaceTooLarge(f"oracle needs n <= {MAX_ORACLE_OUTCOMES}, got {space.n}")
     vertices = core_vertices_two_monotone(prior) if is_two_alternating(prior) else None
     results = []
     for event in masks:
         space.check_mask(event)
-        extremes = extreme_likelihoods(likelihoods, event, exhaustive)
+        extremes = extreme_likelihoods(likelihoods, event)
         best = None
         if vertices is not None:
             for v in vertices:
@@ -163,11 +153,7 @@ def _fractional_lp(prior: Capacity, e: Functional, event: int):
     t = sol.x[n]
     if t <= 0:
         return None
-    mass = [v / t if v > 0 else 0 * v for v in sol.x[:n]]
-    if not exact:
-        total = sum(mass)
-        mass = [v / total for v in mass]
-    vertex = ProbabilityVector(prior.space, tuple(mass))
+    vertex = _vector_from_solution(prior.space, [v / t for v in sol.x[:n]], exact)
     # Report the ratio recomputed at the extracted vertex, not the raw LP
     # objective, so the achieving pair reproduces the value bit for bit.
     return precise_posterior(vertex, e, event), vertex

@@ -169,7 +169,11 @@ class TestScaleInvariance:
             ev = rng.randint(1, space.full_mask)
             lam = rng.uniform(0.1, 9.0)
             q1 = PosteriorQuery(prior, band, ev)
-            q2 = PosteriorQuery(prior, band.scaled(lam), ev)
+            scaled = LikelihoodSet.band(
+                Functional(space, tuple(lam * v for v in band.lower.values)),
+                Functional(space, tuple(lam * v for v in band.upper.values)),
+            )
+            q2 = PosteriorQuery(prior, scaled, ev)
             r1, r2 = _report(q1), _report(q2)
             assert r1.bound_vertex == pytest.approx(r2.bound_vertex, abs=1e-12)
             assert r1.bound_choquet == pytest.approx(r2.bound_choquet, abs=1e-12)

@@ -25,7 +25,7 @@ from credal_bayes import (
 )
 from credal_bayes.campaign import random_probability_vector
 from credal_bayes.credal import is_core_empty
-from credal_bayes.errors import EmptyFamily, NotMonotone, NotNormalized, SpaceTooLarge
+from credal_bayes.errors import EmptyFamily, NotMonotone, NotNormalized
 
 SP1 = OutcomeSpace(("a",))
 SP2 = OutcomeSpace(("a", "b"))
@@ -70,10 +70,10 @@ class TestProbabilityVector:
             ProbabilityVector(SP2, (Fraction(1, 3), Fraction(1, 3)))
 
     def test_event_mass(self):
-        p = ProbabilityVector(SP3, (0.5, 0.3, 0.2))
-        assert p.event_mass(0b011) == 0.5 + 0.3
-        assert p.event_mass(0) == 0
-        assert p.event_mass(SP3.full_mask) == pytest.approx(1.0, abs=1e-12)
+        table = ProbabilityVector(SP3, (0.5, 0.3, 0.2)).mass_table()
+        assert table[0b011] == 0.5 + 0.3
+        assert table[0] == 0
+        assert table[SP3.full_mask] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestValidate:
@@ -153,9 +153,8 @@ class TestTwoAlternating:
         assert verdict.witness == (0b01, 0b10)  # 1 > 0.2 + 0.2 - 0
 
     def test_space_cap(self):
-        space = OutcomeSpace(tuple(f"x{i}" for i in range(13)))
-        with pytest.raises(SpaceTooLarge):
-            is_two_alternating(vacuous_capacity(space))
+        with pytest.raises(ValueError, match="between 1 and 12"):
+            OutcomeSpace(tuple(f"x{i}" for i in range(13)))
 
 
 class TestEpsilonContamination:

@@ -15,7 +15,6 @@ from credal_bayes import (
     choquet_upper,
     conjugate,
     epsilon_contamination,
-    indicator,
     uniform_vector,
 )
 from credal_bayes.campaign import random_contamination, random_probability_vector
@@ -25,6 +24,10 @@ SP3 = OutcomeSpace(("t1", "t2", "t3"))
 
 def _space(n):
     return OutcomeSpace(tuple(f"x{i}" for i in range(n)))
+
+
+def _indicator(space, mask):
+    return Functional(space, (1,) * space.n).restricted(mask)
 
 
 class TestFunctional:
@@ -48,7 +51,7 @@ class TestUpper:
     def test_indicator_gives_capacity_value(self):
         c = epsilon_contamination(uniform_vector(SP3), 0.4)
         for m in range(SP3.size):
-            assert choquet_upper(c, indicator(SP3, m)) == c[m]
+            assert choquet_upper(c, _indicator(SP3, m)) == c[m]
 
     def test_single_layer_example(self):
         c = epsilon_contamination(uniform_vector(SP3), 0.1)
@@ -63,7 +66,7 @@ class TestLower:
         c = epsilon_contamination(uniform_vector(SP3), 0.4)
         k = conjugate(c)
         for m in range(SP3.size):
-            assert choquet_lower(c, indicator(SP3, m)) == k[m]
+            assert choquet_lower(c, _indicator(SP3, m)) == k[m]
 
     def test_additive_collapses_to_expectation(self):
         p = ProbabilityVector(SP3, (0.5, 0.3, 0.2))
@@ -113,7 +116,7 @@ def test_monotone_in_the_integrand(args):
 @given(capacity_and_functionals(), st.floats(0.0, 10.0))
 def test_positive_homogeneity(args, lam):
     c, f, _ = args
-    got = choquet_upper(c, f.scaled(lam))
+    got = choquet_upper(c, Functional(f.space, tuple(lam * v for v in f.values)))
     want = lam * choquet_upper(c, f)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 

@@ -1,4 +1,4 @@
-"""Core membership, emptiness and vertex enumeration."""
+"""Core membership by the core scan, emptiness and vertex enumeration."""
 
 from fractions import Fraction
 from random import Random
@@ -10,7 +10,6 @@ from credal_bayes import (
     OutcomeSpace,
     ProbabilityVector,
     additive_capacity,
-    core_membership,
     core_vertices_two_monotone,
     epsilon_contamination,
     is_core_empty,
@@ -23,9 +22,9 @@ from credal_bayes.campaign import (
     random_distortion,
     random_probability_vector,
 )
-from credal_bayes.choquet import indicator
+from credal_bayes.choquet import Functional
 from credal_bayes.errors import NotTwoAlternating, SpaceTooLarge
-from credal_bayes.optim import sup_expectation
+from credal_bayes.optim import most_violated_event, sup_expectation
 
 SP2 = OutcomeSpace(("a", "b"))
 SP3 = OutcomeSpace(("t1", "t2", "t3"))
@@ -38,19 +37,18 @@ def _space(n):
 class TestMembership:
     def test_base_vector_in_contamination_core(self):
         p = uniform_vector(SP3)
-        assert core_membership(epsilon_contamination(p, 0.3), p)
+        assert most_violated_event(epsilon_contamination(p, 0.3), p.mass, 1e-9) is None
 
     def test_point_mass_outside_with_witness(self):
         c = epsilon_contamination(uniform_vector(SP3), 0.1)
-        r = core_membership(c, ProbabilityVector(SP3, (1.0, 0.0, 0.0)))
-        assert not r
-        assert r.witness == 0b001  # violated by 1 - 0.4, the largest gap
+        worst = most_violated_event(c, (1.0, 0.0, 0.0), 1e-9)
+        assert worst == 0b001  # violated by 1 - 0.4, the largest gap
 
     def test_everything_inside_vacuous(self):
         rng = Random(2)
         for _ in range(10):
             p = random_probability_vector(rng, SP3)
-            assert core_membership(vacuous_capacity(SP3), p)
+            assert most_violated_event(vacuous_capacity(SP3), p.mass, 1e-9) is None
 
 
 class TestEmptiness:
@@ -142,7 +140,7 @@ class TestVertices:
                 else random_distortion(rng, space)
             )
             for v in core_vertices_two_monotone(c):
-                assert core_membership(c, v)
+                assert most_violated_event(c, v.mass, 1e-9) is None
 
     def test_envelope_exactness(self):
         # the vertex family reproduces the capacity event-wise
@@ -170,7 +168,7 @@ class TestVertices:
             tables = [v.mass_table() for v in verts]
             for m in range(1, space.size - 1):
                 by_vertices = max(t[m] for t in tables)
-                by_lp = sup_expectation(c, indicator(space, m)).value
+                by_lp = sup_expectation(c, Functional(space, (1,) * space.n).restricted(m)).value
                 assert by_vertices == pytest.approx(by_lp, abs=1e-9)
 
 

@@ -332,6 +332,18 @@ def test_verify_walks_the_core_once(tmp_path, monkeypatch):
     assert calls["walk"] == 1
 
 
+def test_update_rejects_thirteen_outcomes(tmp_path):
+    doc = _base_model()
+    doc["outcomes"] = [f"x{i}" for i in range(13)]
+    doc["prior"] = {"kind": "eps-contamination", "p": [1 / 13] * 13, "eps": 0.1}
+    doc["likelihood"] = {"band": {"lower": [0.5] * 13, "upper": [0.5] * 13}}
+    doc["events"] = [["x0"]]
+    code, out, err = _run(["update", _write(tmp_path, doc)])
+    assert code == 2
+    assert out == ""
+    assert "$.outcomes" in err and "between 1 and 12" in err
+
+
 def test_solver_failure_is_reported_without_traceback(tmp_path, monkeypatch):
     from credal_bayes import _simplex
 
@@ -373,6 +385,23 @@ class TestIterate:
             assert final[label] == pytest.approx(
                 precise_posterior(p, squared, mask), abs=1e-9
             )
+
+    def test_malformed_step_names_path(self, tmp_path):
+        mp = _write(tmp_path, _base_model())
+        step = {"band": {"lower": [0.5, 0.3, 0.2], "upper": [0.5, "zzz", 0.2]}}
+        op = _write(tmp_path, {"version": 1, "observations": [step]}, "obs.json")
+        code, out, err = _run(["iterate", mp, op])
+        assert code == 2
+        assert out == ""
+        assert "$.observations[0].band.upper[1]" in err
+
+    def test_unreadable_observations_named(self, tmp_path):
+        mp = _write(tmp_path, _base_model())
+        missing = os.path.join(tmp_path, "missing.json")
+        code, out, err = _run(["iterate", mp, missing])
+        assert code == 2
+        assert out == ""
+        assert "validation error: $: cannot read observations" in err
 
     def test_band_steps_keep_concavity(self, tmp_path):
         doc = _base_model()

@@ -13,7 +13,6 @@ from credal_bayes import (
     additive_capacity,
     choquet_lower,
     choquet_upper,
-    core_membership,
     core_vertices_two_monotone,
     epsilon_contamination,
     inf_expectation,
@@ -26,9 +25,11 @@ from credal_bayes.campaign import (
     random_distortion,
     random_monotone_capacity,
 )
-from credal_bayes.errors import InfeasibleCore, SpaceTooLarge
+from credal_bayes.errors import InfeasibleCore
 from credal_bayes._simplex import _pivot
-from credal_bayes.optim import core_lp
+from credal_bayes.capacity import is_two_alternating
+from credal_bayes.credal import is_core_empty
+from credal_bayes.optim import core_lp, most_violated_event
 from credal_bayes.oracle import _fractional_lp
 
 SP2 = OutcomeSpace(("a", "b"))
@@ -75,9 +76,17 @@ class TestExamples:
             sup_expectation(bad, Functional(SP2, (1.0, 0.0)))
 
     def test_space_cap(self):
-        space = _space(13)
-        with pytest.raises(SpaceTooLarge):
-            sup_expectation(vacuous_capacity(space), Functional(space, (1,) * 13))
+        with pytest.raises(ValueError, match="between 1 and 12"):
+            _space(13)
+
+    def test_cap_boundary_runs(self):
+        # n = 12 is the one size cap: every layer below it accepts the space
+        space = _space(12)
+        c = epsilon_contamination(uniform_vector(space), 0.1)
+        f = Functional(space, tuple(range(12)))
+        assert not is_core_empty(c)
+        assert is_two_alternating(c)
+        assert sup_expectation(c, f).value == pytest.approx(choquet_upper(c, f), abs=1e-9)
 
 
 class TestAgainstChoquet:
@@ -115,7 +124,7 @@ class TestOptimizer:
             c = random_monotone_capacity(rng, space)
             f = _random_functional(rng, space)
             got = sup_expectation(c, f)
-            assert core_membership(c, got.argmax)
+            assert most_violated_event(c, got.argmax.mass, 1e-9) is None
             achieved = sum(a * b for a, b in zip(f.values, got.argmax.mass))
             assert achieved == pytest.approx(got.value, abs=1e-9)
 
@@ -250,4 +259,4 @@ def test_fractional_lp_against_scipy():
         assert res.status == 0
         value, vertex = _fractional_lp(c, e, event)
         assert value == pytest.approx(-res.fun, abs=1e-7)
-        assert core_membership(c, vertex)
+        assert most_violated_event(c, vertex.mass, 1e-9) is None
