@@ -14,8 +14,6 @@ from .capacity import (
     OutcomeSpace,
     ProbabilityVector,
     additive_capacity,
-    capacity_from_json,
-    capacity_to_json,
     conjugate,
     distortion_capacity,
     epsilon_contamination,
@@ -44,7 +42,7 @@ from .oracle import (
     verify_theorem,
 )
 from .campaign import CampaignSummary, run_campaign
-from .model import ModelFile, ModelOptions, load_model, parse_model
+from .model import ModelFile, ModelOptions, capacity_to_json, load_model, parse_model
 from . import errors
 
 __version__ = "0.1.0"
@@ -55,7 +53,6 @@ __all__ = [
     "OutcomeSpace",
     "ProbabilityVector",
     "additive_capacity",
-    "capacity_from_json",
     "capacity_to_json",
     "conjugate",
     "distortion_capacity",

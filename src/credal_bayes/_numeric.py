@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 
 # Structural checks: normalization, monotonicity, vertex deduplication,
@@ -33,30 +32,6 @@ def opt_tol(exact: bool):
 def to_fraction(x) -> Fraction:
     """Exact conversion; floats map to their binary rational value."""
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def parse_number(v, exact: bool = False):
-    """Decode a JSON scalar into the requested arithmetic mode.
-
-    Strings are rational literals like "4/7" or "0.1" (decimal-faithful).
-    In exact mode floats are read through their decimal rendering, so a
-    model file containing 0.1 means one tenth, not its binary neighbour.
-    """
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ValueError(f"not a rational literal: {v!r}") from e
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"not a number: {v!r}")
-    if isinstance(v, int):
-        return v
-    if exact:
-        try:
-            return Fraction(Decimal(repr(v)))
-        except (ArithmeticError, ValueError) as e:  # inf, nan
-            raise ValueError(f"not a finite number: {v!r}") from e
-    return v
 
 
 def encode_number(x):

@@ -29,6 +29,7 @@ from .capacity import (
 )
 from .choquet import Functional
 from .errors import ChainViolation
+from .model import query_to_model_json
 from .oracle import verify_theorem
 
 FAMILIES = ("contamination", "distortion", "arbitrary")
@@ -199,11 +200,3 @@ def run_campaign(
             on_record({"instance": idx, **report.to_json()})
     return summary
 
-
-def query_to_model_json(q: PosteriorQuery) -> dict:
-    """A model file reproducing one query, for replay of failures."""
-    from .model import model_json_from_parts
-
-    return model_json_from_parts(
-        q.prior, q.likelihoods, [q.event], exact=q.exact
-    )

@@ -18,14 +18,7 @@ from dataclasses import dataclass, InitVar
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._numeric import (
-    STRUCT_TOL,
-    all_exact,
-    encode_number,
-    exact_number,
-    parse_number,
-    struct_tol,
-)
+from ._numeric import STRUCT_TOL, all_exact, exact_number, struct_tol
 from .errors import EmptyFamily, NotMonotone, NotNormalized
 
 # The one size cap: dense 2**n storage, the concavity check, every core
@@ -375,62 +368,3 @@ def upper_envelope(ps: Sequence[ProbabilityVector]) -> Capacity:
     vals[0] = 0
     vals[-1] = 1
     return Capacity(space, vals, check=False)
-
-
-# ---------------------------------------------------------------------------
-# JSON form
-#
-# {"outcomes": [...], "kind": "explicit", "values": {"": 0, "a": 0.4, ...}}
-# {"outcomes": [...], "kind": "eps-contamination", "p": [...], "eps": x}
-# {"outcomes": [...], "kind": "distortion", "p": [...], "alpha": x}
-# {"outcomes": [...], "kind": "envelope", "vertices": [[...], ...]}
-#
-# Keys in "values" are comma-joined sorted outcome labels, "" for the empty
-# event. Numbers may be rational literals ("4/7") in either mode.
-# ---------------------------------------------------------------------------
-
-
-def capacity_to_json(c: Capacity) -> dict:
-    values = {
-        c.space.event_key(m): encode_number(c.values[m]) for m in range(c.space.size)
-    }
-    return {"outcomes": list(c.space.labels), "kind": "explicit", "values": values}
-
-
-def _vector_from_json(space: OutcomeSpace, raw, exact: bool) -> ProbabilityVector:
-    if not isinstance(raw, list) or len(raw) != space.n:
-        raise ValueError(f"expected a list of {space.n} weights")
-    return ProbabilityVector(space, tuple(parse_number(v, exact) for v in raw))
-
-
-def capacity_from_json(obj: dict, exact: bool = False) -> Capacity:
-    """Parse any supported capacity form; raises ValueError on shape errors
-    and the structural errors of :func:`validate` on bad values."""
-    if not isinstance(obj, dict):
-        raise ValueError("capacity must be a JSON object")
-    space = OutcomeSpace(tuple(obj.get("outcomes", ())))
-    kind = obj.get("kind", "explicit")
-    if kind == "explicit":
-        raw = obj.get("values")
-        if not isinstance(raw, dict):
-            raise ValueError('explicit capacity needs a "values" object')
-        vals: dict[int, object] = {}
-        for key, v in raw.items():
-            mask = space.mask_from_key(key)
-            if mask in vals:
-                raise ValueError(f"duplicate event key {key!r}")
-            vals[mask] = parse_number(v, exact)
-        return validate(vals, space)
-    if kind == "eps-contamination":
-        p = _vector_from_json(space, obj.get("p"), exact)
-        return epsilon_contamination(p, parse_number(obj.get("eps"), exact))
-    if kind == "distortion":
-        p = _vector_from_json(space, obj.get("p"), exact)
-        alpha = parse_number(obj.get("alpha"), exact)
-        return distortion_capacity(p, float(alpha) if alpha != 1 else alpha)
-    if kind == "envelope":
-        raw = obj.get("vertices")
-        if not isinstance(raw, list) or not raw:
-            raise ValueError('envelope capacity needs a nonempty "vertices" list')
-        return upper_envelope([_vector_from_json(space, r, exact) for r in raw])
-    raise ValueError(f"unknown capacity kind {kind!r}")

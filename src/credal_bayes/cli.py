@@ -6,9 +6,10 @@ Three subcommands:
 * ``verify``  - oracle-checked verification, single model or random campaign
 * ``iterate`` - fold a sequence of likelihood sets through the update
 
-Exit codes: 0 success, 2 validation error, 3 undefined ratio (the event
-is named), 4 chain violation or lost concavity. All output is
-deterministic given the model, flags and seed.
+Exit codes: 0 success, 1 the reader closed standard output early,
+2 validation error, 3 undefined ratio (the event is named), 4 chain
+violation or lost concavity. All output is deterministic given the
+model, flags and seed.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 
 from ._numeric import encode_number
 from .bayes import EqualityDiagnosis, bounds_report, posterior_capacity
-from .capacity import capacity_to_json, conjugate, is_two_alternating
+from .capacity import conjugate, is_two_alternating
 from .campaign import FAMILIES, run_campaign
-from .credal import is_core_empty
+from .credal import MAX_VERTEX_OUTCOMES, is_core_empty
 from .errors import (
     ChainViolation,
     CredalBayesError,
@@ -31,10 +33,11 @@ from .errors import (
     ModelError,
     UndefinedRatio,
 )
-from .model import load_model, load_observations
+from .model import capacity_to_json, load_model, load_observations
 from .oracle import verify_theorem
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_VALIDATION = 2
 EXIT_UNDEFINED = 3
 EXIT_VIOLATION = 4
@@ -125,6 +128,14 @@ def cmd_verify(args) -> int:
     else:
         tol = 0 if model.options.exact else model.options.tol
     masks = model.event_masks()
+    # The oracle walks the core's vertices only for 2-alternating priors.
+    n = model.space.n
+    if n > MAX_VERTEX_OUTCOMES and is_two_alternating(model.prior):
+        raise ModelError(
+            "$.outcomes",
+            f"the oracle's vertex enumeration on a 2-alternating prior "
+            f"needs n <= {MAX_VERTEX_OUTCOMES}, got {n}",
+        )
     if is_core_empty(model.prior):
         raise InfeasibleCore("the prior core is empty; no posterior exists")
     reports = verify_theorem(model.prior, model.likelihoods, masks, tol=tol)
@@ -259,7 +270,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
     except ModelError as ex:
         print(f"validation error: {ex}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -272,6 +285,13 @@ def main(argv=None) -> int:
     except CredalBayesError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # The reader is gone (``| head``). Point stdout at devnull so the
+        # interpreter's flush at exit does not fail on the pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

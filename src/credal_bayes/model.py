@@ -1,4 +1,4 @@
-"""Model files: the JSON input format of the command line front end.
+"""Model files: every JSON form the package reads or writes.
 
 A model carries the outcome space, a prior capacity in any supported
 form, a likelihood set (band or family) and the events of interest:
@@ -12,20 +12,44 @@ form, a likelihood set (band or family) and the events of interest:
       "options": {"exact": false, "tol": 1e-9}
     }
 
-Validation failures name the JSON path of the offending field. In exact
-mode every number may be a rational literal like "4/7"; plain decimals
-are read through their decimal rendering.
+Prior forms, each with an optional "outcomes" that must repeat the
+model's:
+
+    {"kind": "explicit", "values": {"": 0, "a": 0.4, ...}}
+    {"kind": "eps-contamination", "p": [...], "eps": x}
+    {"kind": "distortion", "p": [...], "alpha": x}
+    {"kind": "envelope", "vertices": [[...], ...]}
+
+Keys in "values" are comma-joined sorted outcome labels, "" for the empty
+event; a missing "kind" means explicit. The observations file of
+``iterate`` is ``{"observations": [<likelihood>, ...]}``.
+
+Validation failures name the JSON path of the offending field. Numbers
+follow ``options.exact``: exact mode reads floats at their decimal face
+value and rational literals like "4/7" as fractions; float mode reads
+literals as the nearest binary float. Integers are read as integers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field as dataclass_field
+from decimal import Decimal
+from fractions import Fraction
 
-from ._numeric import OPT_TOL, encode_number, parse_number
-from .bayes import LikelihoodSet
-from .capacity import Capacity, OutcomeSpace, capacity_from_json, capacity_to_json
+from ._numeric import OPT_TOL, encode_number
+from .bayes import LikelihoodSet, PosteriorQuery
+from .capacity import (
+    Capacity,
+    OutcomeSpace,
+    ProbabilityVector,
+    distortion_capacity,
+    epsilon_contamination,
+    upper_envelope,
+    validate,
+)
 from .choquet import Functional
 from .errors import CredalBayesError, ModelError
 
@@ -85,19 +109,8 @@ def parse_model(obj: dict) -> ModelFile:
     except (ValueError, TypeError) as ex:
         _fail("$.outcomes", str(ex))
 
-    raw_prior = _expect(obj.get("prior"), "$.prior", dict, "a capacity object")
-    prior_obj = dict(raw_prior)
-    prior_obj.setdefault("outcomes", list(space.labels))
-    if tuple(prior_obj["outcomes"]) != space.labels:
-        _fail("$.prior.outcomes", "must match $.outcomes")
-    try:
-        prior = capacity_from_json(prior_obj, exact=options.exact)
-    except CredalBayesError as ex:
-        _fail("$.prior", str(ex))
-    except (ValueError, TypeError) as ex:
-        _fail("$.prior", str(ex))
-
-    likelihoods = _parse_likelihood(obj.get("likelihood"), space, options.exact)
+    prior = _parse_prior(obj.get("prior"), space, exact)
+    likelihoods = _parse_likelihood(obj.get("likelihood"), space, exact)
 
     events = obj.get("events", "all")
     if events != "all":
@@ -107,11 +120,54 @@ def parse_model(obj: dict) -> ModelFile:
             _expect(entry, f"$.events[{i}]", list, "a list of outcome labels")
             try:
                 masks.append(space.mask_of(entry))
-            except ValueError as ex:
+            except (ValueError, TypeError) as ex:
                 _fail(f"$.events[{i}]", str(ex))
         events = masks
 
     return ModelFile(space, prior, likelihoods, events, options)
+
+
+def _parse_prior(obj, space: OutcomeSpace, exact: bool) -> Capacity:
+    path = "$.prior"
+    _expect(obj, path, dict, "a capacity object")
+    if "outcomes" in obj and obj["outcomes"] != list(space.labels):
+        _fail(f"{path}.outcomes", "must match $.outcomes")
+    kind = obj.get("kind", "explicit")
+    if kind == "explicit":
+        raw = _expect(obj.get("values"), f"{path}.values", dict, "an object of event values")
+        vals: dict[int, object] = {}
+        for key, v in raw.items():
+            key_path = f"{path}.values[{json.dumps(key)}]"
+            try:
+                mask = space.mask_from_key(key)
+            except ValueError as ex:
+                _fail(key_path, str(ex))
+            if mask in vals:
+                _fail(key_path, "duplicate event")
+            vals[mask] = _number(v, key_path, exact)
+        try:
+            return validate(vals, space)
+        except (ValueError, CredalBayesError) as ex:
+            _fail(f"{path}.values", str(ex))
+    if kind in ("eps-contamination", "distortion"):
+        p = _vector(obj.get("p"), f"{path}.p", space, exact, ProbabilityVector)
+        name = "eps" if kind == "eps-contamination" else "alpha"
+        x = _number(obj.get(name), f"{path}.{name}", exact)
+        try:
+            if kind == "eps-contamination":
+                return epsilon_contamination(p, x)
+            return distortion_capacity(p, float(x) if x != 1 else x)
+        except ValueError as ex:
+            _fail(f"{path}.{name}", str(ex))
+    if kind == "envelope":
+        raw = _expect(obj.get("vertices"), f"{path}.vertices", list, "a list of vectors")
+        if not raw:
+            _fail(f"{path}.vertices", "needs at least one vector")
+        return upper_envelope([
+            _vector(r, f"{path}.vertices[{i}]", space, exact, ProbabilityVector)
+            for i, r in enumerate(raw)
+        ])
+    _fail(f"{path}.kind", f"unknown capacity kind {kind!r}")
 
 
 def _parse_likelihood(
@@ -122,8 +178,8 @@ def _parse_likelihood(
         _fail(path, 'needs exactly one of "band" or "family"')
     if "band" in obj:
         band = _expect(obj["band"], f"{path}.band", dict, "an object")
-        lo = _parse_vector(band.get("lower"), f"{path}.band.lower", space, exact)
-        hi = _parse_vector(band.get("upper"), f"{path}.band.upper", space, exact)
+        lo = _vector(band.get("lower"), f"{path}.band.lower", space, exact)
+        hi = _vector(band.get("upper"), f"{path}.band.upper", space, exact)
         try:
             return LikelihoodSet.band(lo, hi)
         except ValueError as ex:
@@ -132,26 +188,48 @@ def _parse_likelihood(
     if not members:
         _fail(f"{path}.family", "needs at least one member")
     parsed = [
-        _parse_vector(m, f"{path}.family[{i}]", space, exact)
+        _vector(m, f"{path}.family[{i}]", space, exact)
         for i, m in enumerate(members)
     ]
     return LikelihoodSet.family(parsed)
 
 
-def _parse_vector(raw, path: str, space: OutcomeSpace, exact: bool) -> Functional:
+def _vector(raw, path: str, space: OutcomeSpace, exact: bool, cls=Functional):
+    """A ``Functional`` or ``ProbabilityVector`` from a list of n numbers."""
     _expect(raw, path, list, f"a list of {space.n} numbers")
     if len(raw) != space.n:
         _fail(path, f"expected {space.n} values, got {len(raw)}")
-    vals = []
-    for i, v in enumerate(raw):
-        try:
-            vals.append(parse_number(v, exact))
-        except ValueError as ex:
-            _fail(f"{path}[{i}]", str(ex))
+    vals = tuple(_number(v, f"{path}[{i}]", exact) for i, v in enumerate(raw))
     try:
-        return Functional(space, tuple(vals))
+        return cls(space, vals)
     except ValueError as ex:
         _fail(path, str(ex))
+
+
+def _number(raw, path: str, exact: bool):
+    """A JSON number or rational literal ("4/7", "0.1") in the model's
+    arithmetic mode. Exact mode reads a float through its decimal
+    rendering, so 0.1 means one tenth, not its binary neighbour; float
+    mode reads a literal as the nearest float. Integers stay integers in
+    both, so a dumped capacity's exact 0 and 1 replay as they were."""
+    if isinstance(raw, str):
+        try:
+            x = Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            _fail(path, f"not a rational literal: {raw!r}")
+    elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        x = raw
+    else:
+        _fail(path, f"not a number: {raw!r}")
+    if isinstance(x, float) and not math.isfinite(x):
+        _fail(path, f"not a finite number: {raw!r}")
+    if exact:
+        return Fraction(Decimal(repr(x))) if isinstance(x, float) else x
+    try:
+        y = float(x)
+    except OverflowError:
+        _fail(path, f"not a finite number: {raw!r}")
+    return x if isinstance(x, int) else y
 
 
 def load_model(path: str) -> ModelFile:
@@ -166,8 +244,8 @@ def load_model(path: str) -> ModelFile:
 
 
 def load_observations(path: str, space: OutcomeSpace, exact: bool) -> list[LikelihoodSet]:
-    """Read an observations file, ``{"observations": [<likelihood>, ...]}``,
-    into one likelihood set per step; failures name the JSON path."""
+    """Read an observations file into one likelihood set per step;
+    failures name the JSON path."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -181,35 +259,32 @@ def load_observations(path: str, space: OutcomeSpace, exact: bool) -> list[Likel
     ]
 
 
-def likelihood_to_json(likelihoods: LikelihoodSet) -> dict:
-    if likelihoods.form == "band":
-        return {
-            "band": {
-                "lower": [encode_number(v) for v in likelihoods.lower.values],
-                "upper": [encode_number(v) for v in likelihoods.upper.values],
-            }
-        }
-    return {
-        "family": [
-            [encode_number(v) for v in m.values] for m in likelihoods.members
-        ]
+def capacity_to_json(c: Capacity) -> dict:
+    """The explicit prior form of a capacity, with its outcomes."""
+    values = {
+        c.space.event_key(m): encode_number(c.values[m]) for m in range(c.space.size)
     }
+    return {"outcomes": list(c.space.labels), "kind": "explicit", "values": values}
 
 
-def model_json_from_parts(
-    prior: Capacity,
-    likelihoods: LikelihoodSet,
-    events: list[int],
-    exact: bool = False,
-) -> dict:
-    space = prior.space
-    prior_json = capacity_to_json(prior)
-    prior_json.pop("outcomes")
+def query_to_model_json(q: PosteriorQuery) -> dict:
+    """A model file reproducing one query, for replay of failures."""
+    space, lik = q.space, q.likelihoods
+    prior = capacity_to_json(q.prior)
+    del prior["outcomes"]
+    if lik.form == "band":
+        likelihood = {"band": {"lower": _encode(lik.lower), "upper": _encode(lik.upper)}}
+    else:
+        likelihood = {"family": [_encode(m) for m in lik.members]}
     return {
         "version": 1,
         "outcomes": list(space.labels),
-        "prior": prior_json,
-        "likelihood": likelihood_to_json(likelihoods),
-        "events": [list(space.labels_of(m)) for m in events],
-        "options": {"exact": exact},
+        "prior": prior,
+        "likelihood": likelihood,
+        "events": [list(space.labels_of(q.event))],
+        "options": {"exact": q.exact},
     }
+
+
+def _encode(f: Functional) -> list:
+    return [encode_number(v) for v in f.values]

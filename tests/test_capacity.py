@@ -12,12 +12,12 @@ from credal_bayes import (
     OutcomeSpace,
     ProbabilityVector,
     additive_capacity,
-    capacity_from_json,
     capacity_to_json,
     conjugate,
     distortion_capacity,
     epsilon_contamination,
     is_two_alternating,
+    parse_model,
     uniform_vector,
     upper_envelope,
     vacuous_capacity,
@@ -25,7 +25,7 @@ from credal_bayes import (
 )
 from credal_bayes.campaign import random_probability_vector
 from credal_bayes.credal import is_core_empty
-from credal_bayes.errors import EmptyFamily, NotMonotone, NotNormalized
+from credal_bayes.errors import EmptyFamily, ModelError, NotMonotone, NotNormalized
 
 SP1 = OutcomeSpace(("a",))
 SP2 = OutcomeSpace(("a", "b"))
@@ -263,10 +263,24 @@ def test_conjugate_is_monotone_and_normalized(c):
     Capacity(k.space, k.values)  # re-validates from scratch
 
 
+def _read_prior(doc, exact=False):
+    """A capacity read from JSON the one way the package reads one: as the
+    prior of a model file."""
+    ones = [1] * len(doc["outcomes"])
+    model = {
+        "version": 1,
+        "outcomes": doc["outcomes"],
+        "prior": doc,
+        "likelihood": {"band": {"lower": ones, "upper": ones}},
+        "options": {"exact": exact},
+    }
+    return parse_model(model).prior
+
+
 class TestSerialization:
     def test_explicit_round_trip(self):
         c = epsilon_contamination(ProbabilityVector(SP3, (0.5, 0.3, 0.2)), 0.25)
-        c2 = capacity_from_json(capacity_to_json(c))
+        c2 = _read_prior(capacity_to_json(c))
         assert c2.values == c.values
         assert c2.space == c.space
 
@@ -274,7 +288,7 @@ class TestSerialization:
         c = epsilon_contamination(uniform_vector(SP2, exact=True), Fraction(1, 3))
         doc = capacity_to_json(c)
         assert doc["values"]["a"] == "2/3"  # (2/3)(1/2) + 1/3
-        c2 = capacity_from_json(doc, exact=True)
+        c2 = _read_prior(doc, exact=True)
         assert c2.values == c.values
         assert c2.exact
 
@@ -285,13 +299,13 @@ class TestSerialization:
             "p": [0.5, 0.5],
             "eps": 0.1,
         }
-        c = capacity_from_json(doc)
+        c = _read_prior(doc)
         assert c[0b01] == pytest.approx(0.55, abs=1e-15)
         doc = {"outcomes": ["a", "b"], "kind": "distortion", "p": [0.5, 0.5], "alpha": 0.5}
-        assert capacity_from_json(doc)[0b01] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert _read_prior(doc)[0b01] == pytest.approx(math.sqrt(0.5), abs=1e-15)
         doc = {"outcomes": ["a", "b"], "kind": "envelope", "vertices": [[1, 0], [0, 1]]}
-        assert capacity_from_json(doc).values == vacuous_capacity(SP2).values
+        assert _read_prior(doc).values == vacuous_capacity(SP2).values
 
     def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            capacity_from_json({"outcomes": ["a"], "kind": "nope"})
+        with pytest.raises(ModelError, match=r"\$\.prior\.kind"):
+            _read_prior({"outcomes": ["a"], "kind": "nope"})

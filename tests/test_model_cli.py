@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -102,10 +104,50 @@ class TestParsing:
             path = "$.likelihood.band.upper[0]"
         else:
             doc["prior"]["eps"] = float("inf")
-            path = "$.prior"
+            path = "$.prior.eps"
         code, _, err = _run(["update", _write(tmp_path, doc)])
         assert code == 2
         assert f"{path}: not a finite number" in err, err
+
+    @pytest.mark.parametrize(
+        "prior, path",
+        [
+            ({"outcomes": 5}, "$.prior.outcomes"),
+            ({"outcomes": "abc"}, "$.prior.outcomes"),
+            ({"p": [0.5, "x", 0.5]}, "$.prior.p[1]"),
+            ({"p": [10**400, 0, 0]}, "$.prior.p[0]"),
+            ({"eps": "x"}, "$.prior.eps"),
+            ({"eps": 2}, "$.prior.eps"),
+            ({"kind": "distortion", "alpha": "x"}, "$.prior.alpha"),
+            ({"kind": "envelope", "vertices": [[1, 0, 0], [0.5, 0.6, 0.1]]}, "$.prior.vertices[1]"),
+            ({"kind": "explicit", "values": {"": 0, "a": 0.5, "a,b,c": 1}}, "$.prior.values"),
+            ({"kind": "explicit", "values": {"": 0, "z": 1}}, '$.prior.values["z"]'),
+            ({"kind": "nope"}, "$.prior.kind"),
+        ],
+    )
+    def test_bad_prior_names_its_field(self, tmp_path, prior, path):
+        doc = _base_model()
+        doc["outcomes"] = ["a", "b", "c"]
+        doc["events"] = [["a"]]
+        doc["prior"].update(prior)
+        code, out, err = _run(["update", _write(tmp_path, doc)])
+        assert code == 2
+        assert out == ""
+        assert f"validation error: {path}: " in err, err
+
+    def test_float_mode_reads_literals_as_floats(self, tmp_path):
+        doc = _base_model()
+        doc["prior"] = {"kind": "eps-contamination", "p": ["1/3"] * 3, "eps": "1/10"}
+        lik = ["1/2", "3/10", "1/5"]
+        doc["likelihood"] = {"band": {"lower": lik, "upper": lik}}
+        code, out, err = _run(["update", _write(tmp_path, doc), "--json"])
+        assert code == 0, err
+        upper = json.loads(out)["events"][0]["upper_vertex"]
+        assert isinstance(upper, float) and upper == pytest.approx(4 / 7, abs=1e-12)
+        doc["options"] = {"exact": True}
+        code, out, err = _run(["update", _write(tmp_path, doc), "--json"])
+        assert code == 0, err
+        assert json.loads(out)["events"][0]["upper_vertex"] == "4/7"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -342,6 +384,39 @@ def test_update_rejects_thirteen_outcomes(tmp_path):
     assert code == 2
     assert out == ""
     assert "$.outcomes" in err and "between 1 and 12" in err
+
+
+def test_verify_names_outcomes_past_the_vertex_cap(tmp_path):
+    """The oracle walks a 2-alternating prior's vertices, which stops at
+    n = 10; update on the same model runs."""
+    doc = _base_model()
+    doc["outcomes"] = [f"x{i}" for i in range(11)]
+    doc["prior"] = {"kind": "eps-contamination", "p": [1 / 11] * 11, "eps": 0.1}
+    doc["likelihood"] = {"band": {"lower": [0.5] * 11, "upper": [0.5] * 11}}
+    doc["events"] = [["x0"]]
+    path = _write(tmp_path, doc)
+    code, out, err = _run(["verify", path])
+    assert code == 2
+    assert out == ""
+    assert "validation error: $.outcomes: " in err and "n <= 10, got 11" in err
+    code, _, err = _run(["update", path])
+    assert code == 0, err
+
+
+def test_closed_reader_exits_quietly(tmp_path):
+    """A reader that stops early, as ``| head`` does, ends the run with
+    exit 1 and nothing on stderr."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "credal_bayes.cli", "update", _write(tmp_path, _base_model()), "--json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # Closed before the child has even imported the package, so its
+    # first write to stdout meets a pipe with no reader.
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_solver_failure_is_reported_without_traceback(tmp_path, monkeypatch):
