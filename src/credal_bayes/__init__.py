@@ -42,7 +42,7 @@ from .oracle import (
     verify_theorem,
 )
 from .campaign import CampaignSummary, run_campaign
-from .model import ModelFile, ModelOptions, capacity_to_json, load_model, parse_model
+from .model import ModelFile, capacity_to_json, load_model, parse_model
 from . import errors
 
 __version__ = "0.1.0"
@@ -84,7 +84,6 @@ __all__ = [
     "CampaignSummary",
     "run_campaign",
     "ModelFile",
-    "ModelOptions",
     "load_model",
     "parse_model",
     "errors",

@@ -7,8 +7,8 @@ from fractions import Fraction
 # Structural checks: normalization, monotonicity, vertex deduplication,
 # and the floor at or below which a posterior denominator is undefined.
 STRUCT_TOL = 1e-12
-# Optimization comparisons: LP vs Choquet agreement, chain slack, LP
-# optimizer sums, and the posterior sweep's monotonicity clamp.
+# Optimization comparisons: LP vs Choquet agreement, chain slack and LP
+# optimizer sums.
 OPT_TOL = 1e-9
 
 

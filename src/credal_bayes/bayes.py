@@ -12,18 +12,22 @@ posterior probability of A are computed:
   C  = upper Choquet integral of hi * 1_A and
   D' = lower Choquet integral of lo * 1_{A^c}.
 
-The vertex bound never exceeds the Choquet bound, and when the prior is
-2-alternating (concave) and the envelopes belong to the likelihood set,
-both bounds equal the exact posterior upper probability. Lower bounds
-come from conjugacy: lower(A) = 1 - upper(complement of A), computed as
-literally that expression so the identity holds bit for bit.
+The vertex bound never exceeds the Choquet bound. Both evaluate the
+switch vector e_A of the event: the upper envelope on A and the lower
+envelope on its complement (:func:`bang_bang_likelihood`). When the
+prior is 2-alternating (concave) and e_A lies in the likelihood set,
+both bounds equal the exact posterior upper probability of A. A band
+holds every switch vector; a family holds one only as a member. Lower
+bounds come from conjugacy: lower(A) = 1 - upper(complement of A),
+computed as literally that expression so the identity holds bit for bit.
 :func:`bounds_report` is the one place the bounds are computed: it
 solves the parts of each event and of its complement once per call.
 
-The posterior capacity sweep runs only where the equality clause holds,
-a 2-alternating prior with member envelopes. There the upper and lower
-Choquet integrals are the sup and inf over the core, so the sweep takes
-its values from the Choquet bound and solves no LP.
+The posterior capacity sweep runs only where the equality clause holds
+for every event: a 2-alternating prior and a set that holds every
+switch vector. There the upper and lower Choquet integrals are the sup
+and inf over the core, so the sweep takes its values from the Choquet
+bound and solves no LP.
 
 Likelihood vectors store the density value at the single observed data
 point, one entry per outcome; the sample space itself never appears.
@@ -32,17 +36,14 @@ point, one entry per outcome; the sample space itself never appears.
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass
 
-from ._numeric import encode_number, opt_tol, struct_tol
+from ._numeric import encode_number, struct_tol
 from .capacity import Capacity, OutcomeSpace
 from .capacity import is_two_alternating
 from .choquet import Functional, choquet_lower, choquet_upper, pointwise_max, pointwise_min
-from .errors import NotMonotone, NotTwoAlternating, UndefinedRatio
+from .errors import NotTwoAlternating, SwitchVectorMissing, UndefinedRatio
 from .optim import inf_expectation, sup_expectation
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,9 @@ class LikelihoodSet:
     """A set of likelihood vectors, as a pointwise band or a finite family.
 
     Both forms expose pointwise envelopes ``lower`` and ``upper``; the
-    bounds depend on the set only through them. ``envelopes_are_members``
-    records whether the envelopes themselves belong to the set: true by
-    construction for bands, checked coordinate by coordinate for
-    families. When false, equality of bound and posterior envelope is
-    never claimed, only the bound direction.
+    bounds depend on the set only through them. Whether a bound is also
+    the posterior value depends on the event, through
+    :meth:`holds_switch_vector`.
     """
 
     space: OutcomeSpace
@@ -62,7 +61,6 @@ class LikelihoodSet:
     lower: Functional
     upper: Functional
     members: tuple[Functional, ...] | None
-    envelopes_are_members: bool
 
     @classmethod
     def band(cls, lower: Functional, upper: Functional) -> "LikelihoodSet":
@@ -71,7 +69,7 @@ class LikelihoodSet:
         for lo, hi in zip(lower.values, upper.values):
             if lo > hi:
                 raise ValueError("band lower envelope exceeds the upper envelope")
-        return cls(lower.space, "band", lower, upper, None, True)
+        return cls(lower.space, "band", lower, upper, None)
 
     @classmethod
     def family(cls, members) -> "LikelihoodSet":
@@ -82,12 +80,7 @@ class LikelihoodSet:
         for m in members[1:]:
             if m.space != space:
                 raise ValueError("family members live on different spaces")
-        hi = pointwise_max(members)
-        lo = pointwise_min(members)
-        flag = any(m.values == hi.values for m in members) and any(
-            m.values == lo.values for m in members
-        )
-        return cls(space, "family", lo, hi, members, flag)
+        return cls(space, "family", pointwise_min(members), pointwise_max(members), members)
 
     @classmethod
     def precise(cls, L: Functional) -> "LikelihoodSet":
@@ -97,6 +90,16 @@ class LikelihoodSet:
     @property
     def exact(self) -> bool:
         return self.lower.exact and self.upper.exact
+
+    def holds_switch_vector(self, mask: int) -> bool:
+        """Whether the switch vector of ``mask`` lies in the set: always for
+        a band, only as a member for a family. The posterior ratio is
+        linear-fractional in the likelihood, so over a family's hull it
+        peaks at a member, and e_A is pointwise extreme."""
+        if self.form == "band":
+            return True
+        e = bang_bang_likelihood(self, mask).values
+        return any(m.values == e for m in self.members)
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class PosteriorQuery:
 class EqualityDiagnosis(str, enum.Enum):
     """How the reported bound relates to the true posterior envelope."""
 
-    PROVEN_EQUAL = "ProvenEqual"          # concave prior, envelopes in the set
+    PROVEN_EQUAL = "ProvenEqual"          # concave prior, e_A and e_{A^c} in the set
     BOUND_ONLY = "BoundOnly"              # upper bound, no oracle comparison
     NUMERICALLY_EQUAL = "NumericallyEqual"  # oracle matched within tolerance
     STRICT_GAP = "StrictGap"              # oracle strictly below a bound
@@ -229,7 +232,10 @@ def bounds_report(
     The vertex and Choquet parts of each mask and of its complement are
     computed once per call and shared between the reports that need them,
     so a sweep over all 2**n events solves each LP once. An empty prior
-    core raises :class:`InfeasibleCore` from the first LP.
+    core raises :class:`InfeasibleCore` from the first LP. An event is
+    ``ProvenEqual`` when the prior is 2-alternating and the set holds the
+    switch vectors of the event and of its complement, the latter for
+    the lower bound.
     """
     space = prior.space
     if space != likelihoods.space:
@@ -244,14 +250,16 @@ def bounds_report(
                     _vertex_parts(prior, likelihoods, m),
                     _choquet_parts(prior, likelihoods, m),
                 )
-    proven = bool(is_two_alternating(prior)) and likelihoods.envelopes_are_members
-    diagnosis = (
-        EqualityDiagnosis.PROVEN_EQUAL if proven else EqualityDiagnosis.BOUND_ONLY
-    )
+    concave = bool(is_two_alternating(prior))
     reports = []
     for mask in masks:
+        comp = space.complement(mask)
         (uv, c_val, argmax), (uc, c_prime) = parts[mask]
-        (uv_c, _, _), (uc_c, _) = parts[space.complement(mask)]
+        (uv_c, _, _), (uc_c, _) = parts[comp]
+        proven = concave and all(map(likelihoods.holds_switch_vector, (mask, comp)))
+        diagnosis = (
+            EqualityDiagnosis.PROVEN_EQUAL if proven else EqualityDiagnosis.BOUND_ONLY
+        )
         reports.append(
             PosteriorReport(
                 space=space,
@@ -274,13 +282,12 @@ def posterior_capacity(prior: Capacity, likelihoods: LikelihoodSet) -> Capacity:
     """The posterior upper probability as a full capacity over all events.
 
     Only emitted when the values are exact posteriors rather than mere
-    bounds: the prior must be 2-alternating and the likelihood envelopes
-    must belong to the set. There the Choquet integrals equal the sup and
-    inf over the core, so each value comes from :func:`choquet_upper` and
-    :func:`choquet_lower` and no LP runs. A 2-alternating capacity's core
-    holds its marginal vectors (Shapley 1971), so it is never empty.
-    Events are swept in subset-size order; monotonicity noise up to 1e-9
-    is clamped with a logged warning and anything larger aborts.
+    bounds: the prior must be 2-alternating and the likelihood set must
+    hold every switch vector. There the Choquet integrals equal the sup
+    and inf over the core, so each value comes from :func:`choquet_upper`
+    and :func:`choquet_lower` and no LP runs. A 2-alternating capacity's
+    core holds its marginal vectors (Shapley 1971), so it is never empty.
+    The capacity's own validation is the one monotonicity check.
     """
     verdict = is_two_alternating(prior)
     if not verdict:
@@ -288,38 +295,12 @@ def posterior_capacity(prior: Capacity, likelihoods: LikelihoodSet) -> Capacity:
             "posterior capacity values are exact only for 2-alternating priors",
             witness=verdict.witness,
         )
-    if not likelihoods.envelopes_are_members:
-        raise ValueError(
-            "likelihood envelopes are not members of the set; "
-            "the sweep would emit bounds, not posterior values"
-        )
     space = prior.space
-    full = space.full_mask
-    values: list = [None] * space.size
-    values[0] = 0
-    values[full] = 1
-    clamp = opt_tol(prior.exact and likelihoods.exact)
-    for mask in space.events_by_size():
-        if mask == 0 or mask == full:
-            continue
-        v, _ = _choquet_parts(prior, likelihoods, mask)
-        v = min(v, 1)
-        floor = max(
-            (values[mask ^ (1 << i)] for i in range(space.n) if mask >> i & 1),
-            default=0,
-        )
-        if v < floor:
-            if floor - v > clamp:
-                raise NotMonotone(
-                    f"posterior sweep lost monotonicity by {float(floor - v):.3e} "
-                    f"at event {space.event_key(mask)!r}",
-                    witness=(mask ^ (mask & -mask), mask),
-                )
-            log.warning(
-                "clamped posterior value at %r up by %.3e",
-                space.event_key(mask),
-                float(floor - v),
+    for mask in range(space.size):
+        if not likelihoods.holds_switch_vector(mask):
+            raise SwitchVectorMissing(
+                f"the likelihood family lacks the switch vector of event "
+                f"{space.event_key(mask)!r}, so the sweep would emit bounds"
             )
-            v = floor
-        values[mask] = v
-    return Capacity(space, tuple(values))
+    inner = [_choquet_parts(prior, likelihoods, m)[0] for m in range(1, space.full_mask)]
+    return Capacity(space, (0, *inner, 1))

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import math
 import os
 import sys
 
@@ -31,6 +29,7 @@ from .errors import (
     CredalBayesError,
     InfeasibleCore,
     ModelError,
+    SwitchVectorMissing,
     UndefinedRatio,
 )
 from .model import capacity_to_json, load_model, load_observations
@@ -70,9 +69,10 @@ def cmd_update(args) -> int:
     reports = bounds_report(model.prior, model.likelihoods, masks)
 
     posterior = None
-    # A sweep covers every event, and bounds_report diagnoses them all
-    # alike: ProvenEqual exactly when the posterior sweep is valid.
-    if args.sweep and reports[0].equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL:
+    # A sweep covers every event; the posterior sweep is valid exactly when
+    # bounds_report proves every one of them.
+    proven = EqualityDiagnosis.PROVEN_EQUAL
+    if args.sweep and all(r.equality_diagnosis is proven for r in reports):
         posterior = posterior_capacity(model.prior, model.likelihoods)
 
     if args.json:
@@ -100,8 +100,6 @@ def cmd_update(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
-        raise ModelError("--tol", "expected a finite nonnegative number")
     emit = (lambda rec: print(json.dumps(rec))) if args.json else None
     if args.random is not None:
         if args.random < 1:
@@ -112,7 +110,6 @@ def cmd_verify(args) -> int:
                 seed=args.seed,
                 family=args.family,
                 exact=args.exact,
-                tol=args.tol,
                 on_record=emit,
             )
         except ValueError as ex:
@@ -123,10 +120,6 @@ def cmd_verify(args) -> int:
     if args.model is None:
         raise ModelError("$", "verify needs a model path or --random N")
     model = load_model(args.model)
-    if args.tol is not None:
-        tol = args.tol
-    else:
-        tol = 0 if model.options.exact else model.options.tol
     masks = model.event_masks()
     # The oracle walks the core's vertices only for 2-alternating priors.
     n = model.space.n
@@ -138,7 +131,7 @@ def cmd_verify(args) -> int:
         )
     if is_core_empty(model.prior):
         raise InfeasibleCore("the prior core is empty; no posterior exists")
-    reports = verify_theorem(model.prior, model.likelihoods, masks, tol=tol)
+    reports = verify_theorem(model.prior, model.likelihoods, masks)
     counts: dict[str, int] = {}
     max_gap = 0.0
     for report in reports:
@@ -173,7 +166,7 @@ def _dump_violation(ex: ChainViolation) -> None:
 
 def cmd_iterate(args) -> int:
     model = load_model(args.model)
-    steps = load_observations(args.observations, model.space, model.options.exact)
+    steps = load_observations(args.observations, model.space, model.exact)
 
     watched = model.event_masks()
     current = model.prior
@@ -193,7 +186,10 @@ def cmd_iterate(args) -> int:
 
     snapshot(0, current)
     for step, lik in enumerate(steps, start=1):
-        current = posterior_capacity(current, lik)
+        try:
+            current = posterior_capacity(current, lik)
+        except SwitchVectorMissing as ex:
+            raise ModelError(f"$.observations[{step - 1}]", str(ex)) from ex
         verdict = is_two_alternating(current)
         if not verdict:
             a, b = verdict.witness
@@ -252,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0, metavar="S")
     p_verify.add_argument("--family", choices=FAMILIES, default="contamination")
     p_verify.add_argument("--exact", action="store_true", help="exact rational arithmetic")
-    p_verify.add_argument("--tol", type=float, default=None, metavar="X",
-                          help="comparison tolerance (default 1e-9, 0 in exact mode)")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(fn=cmd_verify)
 
@@ -266,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -47,6 +47,11 @@ class UndefinedRatio(CredalBayesError):
         self.event = event
 
 
+class SwitchVectorMissing(CredalBayesError):
+    """A likelihood family lacks an event's switch vector, so the posterior
+    sweep would emit bounds, not posterior values."""
+
+
 class ZeroEvidence(CredalBayesError):
     """A precise Bayes update was requested with zero total evidence."""
 

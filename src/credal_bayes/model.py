@@ -9,7 +9,7 @@ form, a likelihood set (band or family) and the events of interest:
       "prior": {"kind": "eps-contamination", "p": [...], "eps": 0.1},
       "likelihood": {"band": {"lower": [...], "upper": [...]}},
       "events": [["a"], ["a", "b"]],        // or "all"
-      "options": {"exact": false, "tol": 1e-9}
+      "options": {"exact": false}
     }
 
 Prior forms, each with an optional "outcomes" that must repeat the
@@ -24,7 +24,9 @@ Keys in "values" are comma-joined sorted outcome labels, "" for the empty
 event; a missing "kind" means explicit. The observations file of
 ``iterate`` is ``{"observations": [<likelihood>, ...]}``.
 
-Validation failures name the JSON path of the offending field. Numbers
+Validation failures name the JSON path of the offending field.
+``exact`` is the one option; any other key of "options" is refused at its
+path, since the tolerances follow the arithmetic mode. Numbers
 follow ``options.exact``: exact mode reads floats at their decimal face
 value and rational literals like "4/7" as fractions; float mode reads
 literals as the nearest binary float. Integers are read as integers.
@@ -34,12 +36,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from ._numeric import OPT_TOL, encode_number
+from ._numeric import encode_number
 from .bayes import LikelihoodSet, PosteriorQuery
 from .capacity import (
     Capacity,
@@ -55,18 +56,12 @@ from .errors import CredalBayesError, ModelError
 
 
 @dataclass(frozen=True)
-class ModelOptions:
-    exact: bool = False
-    tol: float = OPT_TOL
-
-
-@dataclass(frozen=True)
 class ModelFile:
     space: OutcomeSpace
     prior: Capacity
     likelihoods: LikelihoodSet
     events: list[int] | str  # masks, or "all"
-    options: ModelOptions = dataclass_field(default_factory=ModelOptions)
+    exact: bool = False
 
     def event_masks(self, sweep: bool = False) -> list[int]:
         if sweep or self.events == "all":
@@ -89,19 +84,13 @@ def parse_model(obj: dict) -> ModelFile:
     if obj.get("version") != 1:
         _fail("$.version", "missing or unsupported version (expected 1)")
 
-    raw_opts = obj.get("options", {})
-    _expect(raw_opts, "$.options", dict, "an object")
+    raw_opts = _expect(obj.get("options", {}), "$.options", dict, "an object")
+    for key in raw_opts:
+        if key != "exact":
+            _fail(f"$.options.{key}", 'unknown option (the only one is "exact")')
     exact = raw_opts.get("exact", False)
     if not isinstance(exact, bool):
         _fail("$.options.exact", "expected true or false")
-    tol = raw_opts.get("tol", OPT_TOL)
-    if (
-        not isinstance(tol, (int, float))
-        or isinstance(tol, bool)
-        or not 0 <= tol <= sys.float_info.max
-    ):
-        _fail("$.options.tol", "expected a finite nonnegative number")
-    options = ModelOptions(exact=exact, tol=float(tol))
 
     labels = _expect(obj.get("outcomes"), "$.outcomes", list, "a list of labels")
     try:
@@ -124,7 +113,7 @@ def parse_model(obj: dict) -> ModelFile:
                 _fail(f"$.events[{i}]", str(ex))
         events = masks
 
-    return ModelFile(space, prior, likelihoods, events, options)
+    return ModelFile(space, prior, likelihoods, events, exact)
 
 
 def _parse_prior(obj, space: OutcomeSpace, exact: bool) -> Capacity:

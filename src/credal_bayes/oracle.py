@@ -159,19 +159,17 @@ def _fractional_lp(prior: Capacity, e: Functional, event: int):
     return precise_posterior(vertex, e, event), vertex
 
 
-def verify_theorem(
-    prior: Capacity, likelihoods: LikelihoodSet, masks, tol=None
-) -> list[PosteriorReport]:
+def verify_theorem(prior: Capacity, likelihoods: LikelihoodSet, masks) -> list[PosteriorReport]:
     """Full report per mask: oracle values, both bounds on both sides,
     the chain assertion and the equality diagnosis.
 
     The masks and their complements are checked by one oracle call and
     one :func:`bounds_report` call. Raises :class:`ChainViolation` at the
     first mask whose oracle exceeds a bound or whose bounds cross; that
-    is always treated as a defect first.
+    is always treated as a defect first. Every comparison runs at the
+    optimization tolerance of the arithmetic mode: 0 in exact mode.
     """
-    if tol is None:
-        tol = opt_tol(prior.exact and likelihoods.exact)
+    tol = opt_tol(prior.exact and likelihoods.exact)
     space = prior.space
     masks = list(masks)
     sides = list(dict.fromkeys(s for m in masks for s in (m, space.complement(m))))
@@ -209,7 +207,8 @@ def verify_theorem(
         if rep.equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL:
             if abs(uv - res.value) > tol or abs(uc - res.value) > tol:
                 raise ChainViolation(
-                    "equality clause failed for a concave prior with member envelopes",
+                    "equality clause failed for a concave prior whose likelihood "
+                    "set holds the switch vectors of the event and its complement",
                     details,
                 )
             diagnosis = EqualityDiagnosis.PROVEN_EQUAL

@@ -31,7 +31,12 @@ from credal_bayes.campaign import (
     random_probability_vector,
 )
 from credal_bayes.capacity import ProbabilityVector
-from credal_bayes.errors import InfeasibleCore, NotTwoAlternating, UndefinedRatio
+from credal_bayes.errors import (
+    InfeasibleCore,
+    NotTwoAlternating,
+    SwitchVectorMissing,
+    UndefinedRatio,
+)
 
 SP3 = OutcomeSpace(("t1", "t2", "t3"))
 
@@ -63,21 +68,26 @@ class TestLikelihoodSet:
         lo = Functional(SP3, (0.1, 0.2, 0.3))
         hi = Functional(SP3, (0.2, 0.3, 0.4))
         band = LikelihoodSet.band(lo, hi)
-        assert band.envelopes_are_members
+        assert all(band.holds_switch_vector(m) for m in range(SP3.size))
         with pytest.raises(ValueError):
             LikelihoodSet.band(hi, lo)
 
     def test_family_envelope_membership_flag(self):
+        """A family holds an event's switch vector only as a member."""
         a = Functional(SP3, (0.5, 0.1, 0.1))
         b = Functional(SP3, (0.1, 0.5, 0.1))
         fam = LikelihoodSet.family([a, b])
-        assert not fam.envelopes_are_members  # max is (0.5, 0.5, 0.1), not a member
+        # e_A is (0.5, 0.1, 0.1) = a for A = {t1} and b for A = {t2}
+        held = [m for m in range(SP3.size) if fam.holds_switch_vector(m)]
+        assert held == [0b001, 0b010, 0b101, 0b110]
         dominated = LikelihoodSet.family([a, Functional(SP3, (0.4, 0.1, 0.05))])
-        assert dominated.envelopes_are_members
+        assert dominated.holds_switch_vector(SP3.full_mask)
+        assert dominated.holds_switch_vector(0)
+        assert not dominated.holds_switch_vector(0b001)  # (0.5, 0.1, 0.05)
 
     def test_singleton_family_flag(self):
         fam = LikelihoodSet.family([Functional(SP3, (0.5, 0.3, 0.2))])
-        assert fam.envelopes_are_members
+        assert all(fam.holds_switch_vector(m) for m in range(SP3.size))
 
 
 class TestUpperBounds:
@@ -223,8 +233,8 @@ class TestPosteriorCapacity:
         b = Functional(SP3, (0.1, 0.5, 0.1))
         fam = LikelihoodSet.family([a, b])
         prior = epsilon_contamination(uniform_vector(SP3), 0.2)
-        with pytest.raises(ValueError, match="not members"):
-            posterior_capacity(prior, fam)
+        with pytest.raises(SwitchVectorMissing, match="event ''"):
+            posterior_capacity(prior, fam)  # e_{} = (0.1, 0.1, 0.1)
 
     def test_posterior_conjugacy_identity(self):
         prior = epsilon_contamination(uniform_vector(SP3), 0.15)
@@ -296,9 +306,12 @@ class TestReports:
         assert doc["diagnosis"] == "ProvenEqual"
 
     def test_diagnosis_bound_only_for_non_member_family(self):
+        """The diagnosis is per event: {t1} and its complement have member
+        switch vectors, {t1, t2} does not."""
         a = Functional(SP3, (0.5, 0.1, 0.1))
         b = Functional(SP3, (0.1, 0.5, 0.1))
         fam = LikelihoodSet.family([a, b])
         prior = epsilon_contamination(uniform_vector(SP3), 0.2)
-        rep = bounds_report(prior, fam, [0b001])[0]
-        assert rep.equality_diagnosis is EqualityDiagnosis.BOUND_ONLY
+        proven, bound_only = bounds_report(prior, fam, [0b001, 0b011])
+        assert proven.equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL
+        assert bound_only.equality_diagnosis is EqualityDiagnosis.BOUND_ONLY

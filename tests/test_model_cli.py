@@ -36,7 +36,10 @@ def _write(tmp_path, doc, name="model.json"):
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as ex:  # argparse rejected the command line
+            code = ex.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -150,9 +153,12 @@ class TestParsing:
         assert json.loads(out)["events"][0]["upper_vertex"] == "4/7"
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1e300"])
 @pytest.mark.parametrize("where", ["model", "flag", "flag-random"])
 def test_bad_tolerance_is_rejected(tmp_path, tol, where):
+    """No tolerance can be set: every check runs at the arithmetic mode's
+    own. A model's "tol" is an unknown option and argparse has no --tol,
+    so a tolerance that would switch the chain off is refused too."""
     doc = _base_model()
     if where == "model":
         doc["options"] = {"tol": float(tol)}
@@ -165,7 +171,17 @@ def test_bad_tolerance_is_rejected(tmp_path, tol, where):
     code, out, err = _run(argv)
     assert code == 2
     assert out == ""
-    assert ("$.options.tol" if where == "model" else "--tol") in err
+    if where == "model":
+        assert "validation error: $.options.tol: unknown option" in err
+    else:
+        assert "unrecognized arguments: --tol" in err
+
+
+def test_unknown_options_are_refused_in_order():
+    doc = _base_model()
+    doc["options"] = {"exact": True, "zeta": 1, "tol": 0}
+    with pytest.raises(ModelError, match=r"^\$\.options\.zeta: unknown option"):
+        parse_model(doc)
 
 
 class TestUpdate:
@@ -235,6 +251,7 @@ class TestUpdate:
     def test_family_likelihood_reports_bound_only(self, tmp_path):
         doc = _base_model()
         doc["likelihood"] = {"family": [[0.5, 0.1, 0.1], [0.1, 0.5, 0.1]]}
+        doc["events"] = [["t1", "t2"]]  # switch vector (0.5, 0.5, 0.1)
         path = _write(tmp_path, doc)
         code, out, _ = _run(["update", path])
         assert code == 0
@@ -295,6 +312,24 @@ class TestReplayDumps:
         q = random_query(Random(5), "contamination", exact=True)
         m = parse_model(query_to_model_json(q))
         assert m.prior.exact and m.prior.values == q.prior.values
+
+    def test_family_query_round_trips(self):
+        from fractions import Fraction
+        from random import Random
+
+        from credal_bayes import LikelihoodSet, PosteriorQuery
+        from credal_bayes.campaign import query_to_model_json, random_contamination
+
+        space = OutcomeSpace(("a", "b", "c"))
+        prior = random_contamination(Random(7), space, exact=True)
+        members = [Functional(space, (Fraction(1, 3), 1, Fraction(1, 2))),
+                   Functional(space, (1, Fraction(1, 4), Fraction(1, 2)))]
+        q = PosteriorQuery(prior, LikelihoodSet.family(members), 0b011)
+        doc = query_to_model_json(q)
+        assert doc["likelihood"] == {"family": [["1/3", 1, "1/2"], [1, "1/4", "1/2"]]}
+        m = parse_model(doc)
+        assert m.likelihoods.members == q.likelihoods.members
+        assert m.prior.values == prior.values and m.event_masks() == [0b011]
 
 
 def _counter(calls):
@@ -429,6 +464,79 @@ def test_solver_failure_is_reported_without_traceback(tmp_path, monkeypatch):
     assert "Traceback" not in err
 
 
+class TestErrorPaths:
+    def test_empty_core_is_a_validation_error(self, tmp_path):
+        doc = _base_model()
+        doc["outcomes"] = ["a", "b"]
+        doc["prior"] = {"kind": "explicit", "values": {"": 0, "a": 0.2, "b": 0.2, "a,b": 1}}
+        doc["likelihood"] = {"band": {"lower": [0.5, 0.5], "upper": [0.5, 0.5]}}
+        doc["events"] = [["a"]]
+        path = _write(tmp_path, doc)
+        for command in ("update", "verify"):
+            code, out, err = _run([command, path])
+            assert code == 2
+            assert out == ""
+            assert err == "error: the prior core is empty; no posterior exists\n"
+
+    def test_unreadable_model_named_at_root(self, tmp_path):
+        code, out, err = _run(["update", os.path.join(tmp_path, "missing.json")])
+        assert (code, out) == (2, "")
+        assert err.startswith("validation error: $: cannot read ")
+
+    def test_invalid_json_named_at_root(self, tmp_path):
+        path = os.path.join(tmp_path, "broken.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write('{"version": 1,')
+        code, out, err = _run(["verify", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("validation error: $: invalid JSON in ")
+
+
+class TestEqualityClausePerEvent:
+    """Two outcomes, the precise prior (1/2, 1/2), the family {(1, 1),
+    (1/2, 1/2)} and the event {a}: both members are constant, so every
+    posterior of {a} is 1/2, and the switch vector (1, 1/2) behind the
+    bound 2/3 is not a member."""
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        doc = {
+            "version": 1,
+            "outcomes": ["a", "b"],
+            "prior": {"kind": "explicit", "values": {"": 0, "a": "1/2", "b": "1/2", "a,b": 1}},
+            "likelihood": {"family": [[1, 1], ["1/2", "1/2"]]},
+            "events": [["a"]],
+            "options": {"exact": True},
+        }
+        return _write(tmp_path, doc)
+
+    def test_update_reports_a_bound(self, model):
+        code, out, err = _run(["update", model, "--sweep", "--json"])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["posterior"] is None
+        by_event = {r["event"]: r for r in doc["events"]}
+        assert by_event["a"]["upper_vertex"] == "2/3"
+        assert by_event["a"]["diagnosis"] == "BoundOnly"
+        assert by_event["a,b"]["diagnosis"] == "ProvenEqual"  # e = (1, 1)
+
+    def test_verify_finds_the_gap(self, model):
+        code, out, err = _run(["verify", model, "--json"])
+        assert code == 0, err
+        rec = json.loads(out.splitlines()[0])
+        assert (rec["oracle"], rec["upper_vertex"]) == ("1/2", "2/3")
+        assert rec["diagnosis"] == "StrictGap"
+
+    def test_iterate_names_the_step(self, model, tmp_path):
+        step = {"band": {"lower": [1, 1], "upper": [1, 1]}}
+        family = {"family": [[1, 1], ["1/2", "1/2"]]}
+        obs = _write(tmp_path, {"version": 1, "observations": [step, family]}, "obs.json")
+        code, out, err = _run(["iterate", model, obs])
+        assert (code, out) == (2, "")
+        assert err.startswith("validation error: $.observations[1]: ")
+        assert "switch vector of event 'a'" in err
+
+
 class TestIterate:
     def test_empty_observation_list_echoes_prior(self, tmp_path):
         mp = _write(tmp_path, _base_model())
@@ -477,6 +585,13 @@ class TestIterate:
         assert code == 2
         assert out == ""
         assert "validation error: $: cannot read observations" in err
+
+    def test_observations_without_a_list_named(self, tmp_path):
+        mp = _write(tmp_path, _base_model())
+        op = _write(tmp_path, {"version": 1, "observations": {}}, "obs.json")
+        code, out, err = _run(["iterate", mp, op])
+        assert (code, out) == (2, "")
+        assert "validation error: $.observations: expected an object" in err
 
     def test_band_steps_keep_concavity(self, tmp_path):
         doc = _base_model()

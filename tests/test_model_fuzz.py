@@ -29,7 +29,7 @@ def _model(prior, likelihood=BAND, exact=False):
         "prior": prior,
         "likelihood": likelihood,
         "events": [["a"], ["a", "c"]],
-        "options": {"exact": exact, "tol": 1e-9},
+        "options": {"exact": exact},
     }
 
 

@@ -1,5 +1,6 @@
 """Brute-force ground truth and the bound-chain verifier."""
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -16,10 +17,13 @@ from credal_bayes import (
     bounds_report,
     brute_force_upper,
     epsilon_contamination,
+    is_two_alternating,
+    parse_model,
     precise_posterior,
     uniform_vector,
     verify_theorem,
 )
+from credal_bayes import oracle as oracle_module
 from credal_bayes.campaign import (
     random_band,
     random_contamination,
@@ -28,9 +32,11 @@ from credal_bayes.campaign import (
     random_prior,
     random_probability_vector,
     random_query,
+    run_campaign,
 )
+from credal_bayes.choquet import pointwise_max, pointwise_min
 from credal_bayes.credal import core_vertices_two_monotone
-from credal_bayes.errors import AllZeroEvidence, SpaceTooLarge, ZeroEvidence
+from credal_bayes.errors import AllZeroEvidence, ChainViolation, SpaceTooLarge, ZeroEvidence
 from credal_bayes.optim import most_violated_event
 from credal_bayes.oracle import bang_bang_likelihood, query_hash
 
@@ -45,8 +51,8 @@ def _oracle(q):
     return brute_force_upper(q.prior, q.likelihoods, [q.event])[0]
 
 
-def _verify(q, tol=None):
-    return verify_theorem(q.prior, q.likelihoods, [q.event], tol=tol)[0]
+def _verify(q):
+    return verify_theorem(q.prior, q.likelihoods, [q.event])[0]
 
 
 def random_core_points(c, count, rng):
@@ -242,7 +248,7 @@ class TestVerify:
         rng = Random(137)
         for _ in range(8):
             q = random_query(rng, "contamination", exact=True, max_n=4)
-            rep = _verify(q, tol=0)
+            rep = _verify(q)
             prior_f = type(q.prior)(
                 q.prior.space, tuple(float(v) for v in q.prior.values)
             )
@@ -280,3 +286,117 @@ class TestVerify:
         h1, h2, h3 = (query_hash(q.prior, q.likelihoods, q.event) for q in (q1, q2, q3))
         assert h1 == h2
         assert h1 != h3
+
+
+def _family_holding_both_envelopes(rng, space, exact):
+    """One to three random members plus their pointwise max and min."""
+    if exact:
+        def draw():
+            return Fraction(rng.randint(1, 32), 32)
+    else:
+        def draw():
+            return rng.uniform(0.05, 1.0)
+    members = [
+        Functional(space, tuple(draw() for _ in range(space.n)))
+        for _ in range(rng.randint(1, 3))
+    ]
+    return LikelihoodSet.family([*members, pointwise_max(members), pointwise_min(members)])
+
+
+def test_family_campaign_claims_equality_only_at_member_switch_vectors():
+    """Families that hold both envelopes but not every switch vector, over
+    all three prior families: the chain holds on every event, every
+    ProvenEqual event has e_A as a member, and concave priors show strict
+    gaps where e_A is not one."""
+    rng = Random(10)
+    proven = concave_gaps = 0
+    for family, exact, count, max_n in (
+        ("contamination", True, 12, 4),
+        ("arbitrary", True, 6, 4),
+        ("distortion", False, 20, 5),
+    ):
+        for _ in range(count):
+            space = _space(rng.randint(3 if family == "arbitrary" else 2, max_n))
+            prior = random_prior(rng, space, family, exact)
+            lik = _family_holding_both_envelopes(rng, space, exact)
+            members = [m.values for m in lik.members]
+            for rep in verify_theorem(prior, lik, range(space.size)):
+                e_a = bang_bang_likelihood(lik, rep.event).values
+                if rep.equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL:
+                    assert e_a in members
+                    proven += 1
+                elif rep.equality_diagnosis is EqualityDiagnosis.STRICT_GAP:
+                    concave_gaps += bool(is_two_alternating(prior))
+    assert proven > 100 and concave_gaps > 100
+
+
+def _chain_instance():
+    prior = epsilon_contamination(uniform_vector(SP3, exact=True), Fraction(1, 10))
+    band = LikelihoodSet.precise(
+        Functional(SP3, (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)))
+    )
+    return prior, band
+
+
+def _shift_bounds(monkeypatch, event, **shifts):
+    """Make verify_theorem see the bounds of ``event`` moved by ``shifts``."""
+    real = oracle_module.bounds_report
+
+    def shifted(prior, likelihoods, masks):
+        return [
+            replace(r, **{k: getattr(r, k) + d for k, d in shifts.items()})
+            if r.event == event
+            else r
+            for r in real(prior, likelihoods, masks)
+        ]
+
+    monkeypatch.setattr(oracle_module, "bounds_report", shifted)
+
+
+CHAIN_DETAILS = {
+    "event", "oracle", "bound_vertex", "bound_choquet", "oracle_complement",
+    "bound_vertex_complement", "bound_choquet_complement", "instance_hash",
+}
+
+
+@pytest.mark.parametrize(
+    "shifts, message",
+    [
+        ({"bound_vertex": Fraction(-1, 10**6)}, "oracle exceeded the vertex bound"),
+        ({"bound_choquet": Fraction(-1, 10**6)}, "vertex bound exceeded the Choquet bound"),
+        (
+            {"bound_vertex": Fraction(1, 10**6), "bound_choquet": Fraction(1, 10**6)},
+            "equality clause failed",
+        ),
+    ],
+)
+def test_each_chain_check_fires(monkeypatch, shifts, message):
+    prior, band = _chain_instance()
+    _shift_bounds(monkeypatch, 0b001, **shifts)
+    with pytest.raises(ChainViolation, match=message) as exc:
+        verify_theorem(prior, band, [0b001])
+    assert set(exc.value.details) == CHAIN_DETAILS
+    assert exc.value.details["event"] == "t1"
+
+
+def test_failing_campaign_dumps_a_replayable_model(monkeypatch):
+    """The first instance of a campaign whose Choquet bound is pushed below
+    the vertex bound raises with its index and a model that replays to
+    the same violation."""
+    real = oracle_module.bounds_report
+
+    def crossed(prior, likelihoods, masks):
+        return [
+            replace(r, bound_choquet=r.bound_vertex - Fraction(1, 10**6))
+            for r in real(prior, likelihoods, masks)
+        ]
+
+    monkeypatch.setattr(oracle_module, "bounds_report", crossed)
+    with pytest.raises(ChainViolation) as exc:
+        run_campaign(count=3, seed=5, family="contamination", exact=True)
+    details = exc.value.details
+    assert details["instance"] == 0
+    model = parse_model(details["model"])
+    with pytest.raises(ChainViolation) as replay:
+        verify_theorem(model.prior, model.likelihoods, model.event_masks())
+    assert replay.value.details["instance_hash"] == details["instance_hash"]
