@@ -13,9 +13,13 @@ with artificial columns banned. Entering and leaving variables follow
 Bland's rule; the core polytopes this package optimizes over are highly
 degenerate and Bland's rule is the simple way to rule out cycling.
 
-Preconditions: all variables are nonnegative and every <= row has a
-nonnegative right-hand side (equality rows are sign-flipped as needed).
-That covers every program built in this package.
+Preconditions: all variables are nonnegative, every right-hand side is
+nonnegative (``ValueError`` otherwise) and the objective is bounded. An
+improving column with no leaving row raises :class:`SolverError`, as the
+iteration limit does. Every program this package builds meets them: a
+core LP lies in the probability simplex, and the fractional LP's
+objective is at most its evidence row e . y = 1. The two statuses are
+"optimal" and "infeasible".
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ _MAX_ITER = 100_000
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str               # "optimal" | "infeasible" | "unbounded"
+    status: str               # "optimal" | "infeasible"
     x: tuple | None
     value: object | None
     infeasibility: object     # phase-1 artificial residual
@@ -47,19 +51,15 @@ def solve(objective, a_ub, b_ub, a_eq, b_eq, maximize=True) -> LPSolution:
     n = len(obj)
     mu, me = len(b_ub), len(b_eq)
     cols = n + mu + me
+    # One slack per <= row, then one artificial per equality row: row i
+    # starts with column n + i basic.
     T: list[list] = []
-    for i in range(mu):
-        rhs = num(b_ub[i])
+    for i, (row, rhs) in enumerate(zip(chain(a_ub, a_eq), chain(b_ub, b_eq))):
+        rhs = num(rhs)
         if rhs < 0:
-            raise ValueError("<= rows need nonnegative right-hand sides")
-        row = [num(v) for v in a_ub[i]] + [zero] * (mu + me) + [rhs]
+            raise ValueError("every right-hand side must be nonnegative")
+        row = [num(v) for v in row] + [zero] * (mu + me) + [rhs]
         row[n + i] = one
-        T.append(row)
-    for k in range(me):
-        row = [num(v) for v in a_eq[k]] + [zero] * (mu + me) + [num(b_eq[k])]
-        if row[-1] < 0:
-            row = [-v for v in row]
-        row[n + mu + k] = one
         T.append(row)
     basis = list(range(n, cols))
 
@@ -67,8 +67,7 @@ def solve(objective, a_ub, b_ub, a_eq, b_eq, maximize=True) -> LPSolution:
     # rows; that slot is never read.
     cost = [zero] * (n + mu) + [-one] * me + [zero]
     r = _reduced(cost, T, basis)
-    if _iterate(T, basis, r, cols, tol, tie) == "unbounded":
-        raise SolverError("phase 1 cannot be unbounded")
+    _iterate(T, basis, r, cols, tol, tie)
     infeas = sum((T[i][-1] for i in range(len(T)) if basis[i] >= n + mu), zero)
     if infeas > tol:
         return LPSolution("infeasible", None, None, infeas)
@@ -76,8 +75,7 @@ def solve(objective, a_ub, b_ub, a_eq, b_eq, maximize=True) -> LPSolution:
 
     cost = [v if maximize else -v for v in obj] + [zero] * (mu + me + 1)
     r = _reduced(cost, T, basis)
-    if _iterate(T, basis, r, n + mu, tol, tie) == "unbounded":
-        return LPSolution("unbounded", None, None, infeas)
+    _iterate(T, basis, r, n + mu, tol, tie)
     x = [zero] * n
     for i, b in enumerate(basis):
         if b < n:
@@ -102,7 +100,7 @@ def _iterate(T, basis, r, eligible, tol, tie):
             if r[j] > tol:
                 break
         else:
-            return "optimal"
+            return
         best = -1
         for i, row in enumerate(T):
             if row[j] > tol:
@@ -110,7 +108,7 @@ def _iterate(T, basis, r, eligible, tol, tie):
                 if best < 0 or ratio < rmin:
                     best, rmin = i, ratio
         if best < 0:
-            return "unbounded"
+            raise SolverError(f"column {j} has no leaving row: the objective is unbounded")
         # Bland: among the (near-)minimal ratios the lowest basic index leaves
         near = rmin + tie * (1 + abs(rmin))
         for i, row in enumerate(T):

@@ -139,7 +139,7 @@ class EqualityDiagnosis(str, enum.Enum):
 @dataclass(frozen=True)
 class PosteriorReport:
     """Per-event results: bounds, conjugate bounds, denominators, diagnosis,
-    and (when available) the oracle values and achieving witnesses."""
+    the achieving witnesses and (when available) the oracle values."""
 
     space: OutcomeSpace
     event: int
@@ -150,10 +150,10 @@ class PosteriorReport:
     c_value: object
     c_prime_value: object
     equality_diagnosis: EqualityDiagnosis
+    achieving_prior: tuple
+    achieving_likelihood: tuple
     oracle: object = None
     lower_oracle: object = None
-    achieving_prior: tuple | None = None
-    achieving_likelihood: tuple | None = None
     instance_hash: str | None = None
 
     def to_json(self) -> dict:
@@ -171,12 +171,8 @@ class PosteriorReport:
             "lower_oracle": None
             if self.lower_oracle is None
             else enc(self.lower_oracle),
-            "achieving_prior": None
-            if self.achieving_prior is None
-            else [enc(v) for v in self.achieving_prior],
-            "achieving_likelihood": None
-            if self.achieving_likelihood is None
-            else [enc(v) for v in self.achieving_likelihood],
+            "achieving_prior": [enc(v) for v in self.achieving_prior],
+            "achieving_likelihood": [enc(v) for v in self.achieving_likelihood],
             "instance_hash": self.instance_hash,
         }
 

@@ -22,7 +22,7 @@ model's:
 
 Keys in "values" are comma-joined sorted outcome labels, "" for the empty
 event; a missing "kind" means explicit. The observations file of
-``iterate`` is ``{"observations": [<likelihood>, ...]}``.
+``iterate`` is ``{"version": 1, "observations": [<likelihood>, ...]}``.
 
 Validation failures name the JSON path of the offending field.
 ``exact`` is the one option; any other key of "options" is refused at its
@@ -79,11 +79,15 @@ def _expect(obj, path: str, typ, what: str):
     return obj
 
 
-def parse_model(obj: dict) -> ModelFile:
+def _check_version(obj) -> None:
+    """Both file kinds are a JSON object with ``"version": 1``."""
     _expect(obj, "$", dict, "a JSON object")
     if obj.get("version") != 1:
         _fail("$.version", "missing or unsupported version (expected 1)")
 
+
+def parse_model(obj: dict) -> ModelFile:
+    _check_version(obj)
     raw_opts = _expect(obj.get("options", {}), "$.options", dict, "an object")
     for key in raw_opts:
         if key != "exact":
@@ -240,8 +244,8 @@ def load_observations(path: str, space: OutcomeSpace, exact: bool) -> list[Likel
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as ex:
         raise ModelError("$", f"cannot read observations: {ex}") from ex
-    if not isinstance(obj, dict) or not isinstance(obj.get("observations"), list):
-        _fail("$.observations", "expected an object with an observations list")
+    _check_version(obj)
+    _expect(obj.get("observations"), "$.observations", list, "an object with an observations list")
     return [
         _parse_likelihood(entry, space, exact, path=f"$.observations[{i}]")
         for i, entry in enumerate(obj["observations"])

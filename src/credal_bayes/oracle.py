@@ -41,7 +41,7 @@ from .bayes import (
 from .capacity import Capacity, ProbabilityVector, is_two_alternating
 from .choquet import Functional
 from .credal import core_vertices_two_monotone
-from .errors import AllZeroEvidence, ChainViolation, SolverError, ZeroEvidence
+from .errors import AllZeroEvidence, ChainViolation, ZeroEvidence
 from .optim import _vector_from_solution, core_lp
 
 
@@ -138,8 +138,9 @@ def _fractional_lp(prior: Capacity, e: Functional, event: int):
 
     Variables are y (a rescaled prior) and t (the scale): domination rows
     become sum_{i in B} y_i <= c(B) t, the simplex row sum y = t, and the
-    evidence normalizes to e . y = 1. Infeasible means no core point has
-    positive evidence for this likelihood.
+    evidence normalizes to e . y = 1, which with y >= 0 forces
+    t >= 1 / max e > 0. Infeasible means no core point has positive
+    evidence for this likelihood.
     """
     n = prior.space.n
     exact = prior.exact and e.exact
@@ -148,11 +149,7 @@ def _fractional_lp(prior: Capacity, e: Functional, event: int):
     sol = core_lp(prior, obj, a_eq, [0, 1], maximize=True, exact=exact, scaled=True)
     if sol.status == "infeasible":
         return None
-    if sol.status != "optimal":
-        raise SolverError(f"fractional LP reported {sol.status}")
     t = sol.x[n]
-    if t <= 0:
-        return None
     vertex = _vector_from_solution(prior.space, [v / t for v in sol.x[:n]], exact)
     # Report the ratio recomputed at the extracted vertex, not the raw LP
     # objective, so the achieving pair reproduces the value bit for bit.

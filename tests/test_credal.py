@@ -14,7 +14,6 @@ from credal_bayes import (
     epsilon_contamination,
     is_core_empty,
     uniform_vector,
-    upper_envelope,
     vacuous_capacity,
 )
 from credal_bayes.campaign import (
@@ -116,15 +115,11 @@ class TestVertices:
             assert len(core_vertices_two_monotone(c)) == n
 
     def test_refuses_non_concave(self):
-        bad = upper_envelope(
-            [
-                ProbabilityVector(SP3, (0.8, 0.1, 0.1)),
-                ProbabilityVector(SP3, (0.1, 0.1, 0.8)),
-            ]
-        )
-        if not bool(__import__("credal_bayes").is_two_alternating(bad)):
-            with pytest.raises(NotTwoAlternating):
-                core_vertices_two_monotone(bad)
+        # the core holds (1/3, 1/3, 1/3), but c(t1) + c(t2) < c(t1, t2)
+        bad = Capacity(SP3, (0, 0.4, 0.4, 0.9, 0.4, 0.9, 0.9, 1))
+        with pytest.raises(NotTwoAlternating, match="needs a 2-alternating") as exc:
+            core_vertices_two_monotone(bad)
+        assert exc.value.witness == (0b001, 0b010)
 
     def test_space_cap(self):
         with pytest.raises(SpaceTooLarge):

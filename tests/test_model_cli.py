@@ -10,9 +10,10 @@ import sys
 import pytest
 
 from credal_bayes import cli, parse_model, precise_posterior
-from credal_bayes.capacity import OutcomeSpace, ProbabilityVector
+from credal_bayes.capacity import Capacity, OutcomeSpace, ProbabilityVector
 from credal_bayes.choquet import Functional
 from credal_bayes.errors import ModelError
+from credal_bayes.model import capacity_to_json
 
 
 def _base_model(eps=0.1):
@@ -284,6 +285,16 @@ class TestVerify:
         code, _, err = _run(["verify", "--random", "5", "--family", "distortion", "--exact"])
         assert code == 2
         assert "float-only" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--random", "0"], "--random needs a positive count"),
+            (["verify"], "verify needs a model path or --random N"),
+        ],
+    )
+    def test_bad_command_line_is_a_validation_error(self, argv, message):
+        assert _run(argv) == (2, "", f"validation error: $: {message}\n")
 
     def test_chain_violation_exit_code(self, monkeypatch, tmp_path):
         from credal_bayes.errors import ChainViolation
@@ -592,6 +603,22 @@ class TestIterate:
         code, out, err = _run(["iterate", mp, op])
         assert (code, out) == (2, "")
         assert "validation error: $.observations: expected an object" in err
+
+    def test_lost_concavity_exits_with_a_witness(self, tmp_path, monkeypatch):
+        """A posterior that is not 2-alternating stops the fold with exit 4,
+        the witness pair and the offending capacity on stderr."""
+        space = OutcomeSpace(("t1", "t2", "t3"))
+        # c(t1) + c(t2) < c(t1, t2) + c(empty): not 2-alternating
+        bent = Capacity(space, (0, 0.4, 0.4, 0.9, 0.4, 0.9, 0.9, 1))
+        monkeypatch.setattr(cli, "posterior_capacity", lambda prior, lik: bent)
+        mp = _write(tmp_path, _base_model())
+        step = _base_model()["likelihood"]
+        op = _write(tmp_path, {"version": 1, "observations": [step, step]}, "obs.json")
+        code, out, err = _run(["iterate", mp, op, "--json"])
+        assert (code, out) == (4, "")
+        head, dump = err.split("\n", 1)
+        assert head == "concavity lost at step 1: witness events {t1} / {t2}"
+        assert json.loads(dump) == capacity_to_json(bent)
 
     def test_band_steps_keep_concavity(self, tmp_path):
         doc = _base_model()

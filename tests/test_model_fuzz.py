@@ -1,16 +1,19 @@
 """Malformed model and observations files are rejected with a JSON path.
 
-Each example takes a valid document, then either replaces one node, at
-any depth, with a value of another JSON type, or drops one key. Parsing
-the result may succeed (a dropped key can have a default) or raise
-``ModelError`` whose path starts at the root; any other exception is a
-hole that would reach the user as a traceback.
+Each fuzz example takes a valid document, then either replaces one node,
+at any depth, with a value of another JSON type, or drops one key.
+Parsing the result may succeed (a dropped key can have a default) or
+raise ``ModelError`` whose path starts at the root; any other exception
+is a hole that would reach the user as a traceback. A fixed corpus pins
+the exact path of known rejections, so they run on every pass and not
+only on the draws that happen to reach them.
 """
 
 import copy
 import json
 import os
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from credal_bayes import OutcomeSpace, parse_model
@@ -129,3 +132,31 @@ def test_unmutated_documents_are_valid(tmp_path):
     for doc in MODELS:
         parse_model(doc)
     assert len(_observations(OBSERVATIONS, tmp_path)) == 2
+
+
+CONTAMINATION = {"kind": "eps-contamination", "p": [0.5, 0.3, 0.2], "eps": 0.1}
+REJECTED = {
+    "observations-version-7": ("observations", {"version": 7, "observations": [BAND]}, "$.version"),
+    "observations-no-version": ("observations", {"observations": [BAND]}, "$.version"),
+    "observations-not-an-object": ("observations", [BAND], "$"),
+    "exact-not-a-boolean": ("model", _model(CONTAMINATION, exact="yes"), "$.options.exact"),
+    "band-and-family": ("model", _model(CONTAMINATION, {**BAND, **FAMILY}), "$.likelihood"),
+    "not-a-number": ("model", _model({**CONTAMINATION, "eps": None}), "$.prior.eps"),
+    "empty-family": ("model", _model(CONTAMINATION, {"family": []}), "$.likelihood.family"),
+    "short-vector": ("model", _model({**CONTAMINATION, "p": [0.5, 0.5]}), "$.prior.p"),
+    "empty-envelope": ("model", _model({"kind": "envelope", "vertices": []}), "$.prior.vertices"),
+    "duplicate-event": (
+        "model",
+        _model({"values": {"": 0, "a": 1, "b": 1, "c": 1, "a,b": 1, "b,a": 1, "a,c": 1,
+                           "b,c": 1, "a,b,c": 1}}),
+        '$.prior.values["b,a"]',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_rejection_corpus_names_the_field(tmp_path, name):
+    kind, doc, path = REJECTED[name]
+    with pytest.raises(ModelError) as exc:
+        parse_model(doc) if kind == "model" else _observations(doc, tmp_path)
+    assert exc.value.path == path

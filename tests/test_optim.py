@@ -1,5 +1,6 @@
 """LP expectation bounds over cores, cross-checked against independent routes."""
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -25,8 +26,9 @@ from credal_bayes.campaign import (
     random_distortion,
     random_monotone_capacity,
 )
-from credal_bayes.errors import InfeasibleCore
-from credal_bayes._simplex import _pivot
+from credal_bayes import optim
+from credal_bayes.errors import InfeasibleCore, SolverError
+from credal_bayes._simplex import _pivot, solve
 from credal_bayes.capacity import is_two_alternating
 from credal_bayes.credal import is_core_empty
 from credal_bayes.optim import core_lp, most_violated_event
@@ -205,6 +207,75 @@ class TestExactMode:
         _pivot(T, [1, 2], None, 1, 0)
         assert T[0][-1] == 0
         assert all(type(v) is Fraction for row in T for v in row)
+
+
+# Equality systems that end phase 1 with an artificial basic at zero,
+# as (objective, a_eq, b_eq, optimizer, maximum): a redundant row keeps
+# its artificial, a degenerate row has it pivoted out. Left in the basis,
+# the last one's artificial would grow in phase 2 to the point (0, 1).
+EVICTIONS = {
+    "redundant-row": ([0, -2], [[2, 1], [0, 0]], [2, 0], (1, 0), 0),
+    "degenerate-row": ([-2, -2, -2], [[-1, 0, 0], [0, -1, 1]], [0, 2], (0, 0, 2), -4),
+    "degenerate-row-moves-optimum": ([-2, 2], [[0, -1], [1, 2]], [0, 2], (2, 0), -4),
+}
+
+
+@pytest.mark.parametrize("num", [Fraction, float])
+@pytest.mark.parametrize("name", EVICTIONS)
+def test_basic_artificials_leave_before_phase_two(name, num):
+    objective, a_eq, b_eq, x, value = EVICTIONS[name]
+    objective, b_eq = [num(v) for v in objective], [num(v) for v in b_eq]
+    sol = solve(objective, [], [], [[num(v) for v in row] for row in a_eq], b_eq)
+    assert (sol.status, sol.x, sol.value) == ("optimal", x, value)
+    assert all(type(v) is num for v in sol.x)
+    assert [sum(a * v for a, v in zip(row, x)) for row in a_eq] == b_eq
+
+
+@pytest.mark.parametrize(
+    "program, error, match",
+    [
+        (([1, 1], [], [], [[1, -1]], [0]), SolverError, "no leaving row: the objective is unbounded"),
+        (([1.0, 0.0], [[1, 1]], [-1], [], []), ValueError, "right-hand side"),
+        (([1, 2], [], [], [[-1, -1]], [-1]), ValueError, "right-hand side"),
+    ],
+    ids=["unbounded", "negative-le-rhs", "negative-eq-rhs"],
+)
+def test_kernel_refuses_programs_outside_its_preconditions(program, error, match):
+    with pytest.raises(error, match=match):
+        solve(*program)
+
+
+def test_optimizer_off_the_simplex_is_a_solver_defect(monkeypatch):
+    real = optim.solve
+
+    def halved(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        return replace(sol, x=tuple(v / 2 for v in sol.x))
+
+    monkeypatch.setattr(optim, "solve", halved)
+    with pytest.raises(SolverError, match="LP optimizer sums to 0.5; solver defect"):
+        sup_expectation(vacuous_capacity(SP3), Functional(SP3, (0.5, 0.25, 1.0)))
+
+
+def test_kernel_edge_cases_against_scipy():
+    """The eviction systems agree with HiGHS, and so does the sign flip
+    that a caller of the kernel makes on an equality row whose
+    right-hand side is negative."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    programs = [(obj, a_eq, b_eq) for obj, a_eq, b_eq, _, _ in EVICTIONS.values()]
+    programs.append(([1, 2, 0], [[-1, -1, -1]], [-1]))
+    for objective, a_eq, b_eq in programs:
+        res = scipy_opt.linprog(
+            [-v for v in objective],
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=[(0, None)] * len(objective),
+            method="highs",
+        )
+        assert res.status == 0
+        flipped = [(row, b) if b >= 0 else ([-v for v in row], -b) for row, b in zip(a_eq, b_eq)]
+        sol = solve(objective, [], [], [row for row, _ in flipped], [b for _, b in flipped])
+        assert float(sol.value) == pytest.approx(-res.fun, abs=1e-12)
 
 
 def _dense_core_rows(c):

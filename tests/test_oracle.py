@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from credal_bayes import (
+    Capacity,
     EqualityDiagnosis,
     Functional,
     LikelihoodSet,
@@ -400,3 +401,53 @@ def test_failing_campaign_dumps_a_replayable_model(monkeypatch):
     with pytest.raises(ChainViolation) as replay:
         verify_theorem(model.prior, model.likelihoods, model.event_masks())
     assert replay.value.details["instance_hash"] == details["instance_hash"]
+
+
+def _relabelled(prior, band, perm):
+    """The same instance with outcome ``perm[j]`` moved to position j."""
+    space = OutcomeSpace(tuple(prior.space.labels[i] for i in perm))
+
+    def old_mask(m):
+        return sum(1 << perm[j] for j in range(space.n) if m >> j & 1)
+
+    def moved(f):
+        return Functional(space, tuple(f.values[i] for i in perm))
+
+    values = tuple(prior.values[old_mask(m)] for m in range(space.size))
+    return Capacity(space, values), LikelihoodSet.band(moved(band.lower), moved(band.upper))
+
+
+def _by_event(reports):
+    return {
+        r.space.event_key(r.event): (
+            r.bound_vertex, r.bound_choquet, r.lower_vertex, r.lower_choquet,
+            r.oracle, r.lower_oracle, r.equality_diagnosis,
+        )
+        for r in reports
+    }
+
+
+@pytest.mark.parametrize("family", ["contamination", "arbitrary"])
+def test_metamorphic_relations(family):
+    """On exact instances, over all events: relabelling the outcomes
+    changes no report, and halving the band's lower envelope lowers no
+    upper bound and no oracle value. They catch defects that move the
+    oracle and the bounds together, which the chain alone cannot see."""
+    rng = Random(97)
+    for _ in range(5):
+        space = _space(rng.randint(3, 5))
+        prior, band = random_prior(rng, space, family, exact=True), random_band(rng, space, exact=True)
+        events = range(space.size)
+        base = verify_theorem(prior, band, events)
+
+        perm = list(range(space.n))
+        rng.shuffle(perm)
+        moved = _relabelled(prior, band, perm)
+        assert _by_event(verify_theorem(*moved, events)) == _by_event(base)
+
+        lower = Functional(space, tuple(v / 2 for v in band.lower.values))
+        halved = verify_theorem(prior, LikelihoodSet.band(lower, band.upper), events)
+        for old, new in zip(base, halved):
+            assert new.bound_vertex >= old.bound_vertex
+            assert new.bound_choquet >= old.bound_choquet
+            assert new.oracle >= old.oracle
