@@ -29,6 +29,12 @@ def opt_tol(exact: bool):
     return 0 if exact else OPT_TOL
 
 
+def quotient(a, b):
+    """``a / b``, but a Fraction when both are ints, whose ``/`` is a float.
+    Floats pay one type test; the oracle divides per (vertex, likelihood)."""
+    return Fraction(a, b) if type(a) is int and type(b) is int else a / b
+
+
 def to_fraction(x) -> Fraction:
     """Exact conversion; floats map to their binary rational value."""
     return x if isinstance(x, Fraction) else Fraction(x)

@@ -38,10 +38,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ._numeric import encode_number, struct_tol
+from ._numeric import encode_number, quotient, struct_tol
 from .capacity import Capacity, OutcomeSpace
 from .capacity import is_two_alternating
-from .choquet import Functional, choquet_lower, choquet_upper, pointwise_max, pointwise_min
+from .choquet import Functional, choquet_lower, choquet_upper
 from .errors import NotTwoAlternating, SwitchVectorMissing, UndefinedRatio
 from .optim import inf_expectation, sup_expectation
 
@@ -80,7 +80,9 @@ class LikelihoodSet:
         for m in members[1:]:
             if m.space != space:
                 raise ValueError("family members live on different spaces")
-        return cls(space, "family", pointwise_min(members), pointwise_max(members), members)
+        columns = list(zip(*(m.values for m in members)))
+        lower, upper = (Functional(space, tuple(map(f, columns))) for f in (min, max))
+        return cls(space, "family", lower, upper, members)
 
     @classmethod
     def precise(cls, L: Functional) -> "LikelihoodSet":
@@ -202,7 +204,7 @@ def _choquet_parts(prior: Capacity, likelihoods: LikelihoodSet, event: int):
             f"denominator vanished for event {space.event_key(event)!r}",
             event=event,
         )
-    return num / den, den
+    return quotient(num, den), den
 
 
 def bang_bang_likelihood(likelihoods: LikelihoodSet, mask: int) -> Functional:

@@ -312,11 +312,9 @@ def distortion_capacity(p: ProbabilityVector, alpha: float) -> Capacity:
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"distortion exponent must lie in (0, 1], got {alpha!r}")
-    table = p.mass_table()
     if alpha == 1:
-        vals = [min(x, 1) for x in table]
-    else:
-        vals = [min(float(x) ** alpha, 1) for x in table]
+        return additive_capacity(p)
+    vals = [min(float(x) ** alpha, 1) for x in p.mass_table()]
     vals[0] = 0
     vals[-1] = 1
     return Capacity(p.space, vals, check=False)
@@ -324,10 +322,7 @@ def distortion_capacity(p: ProbabilityVector, alpha: float) -> Capacity:
 
 def additive_capacity(p: ProbabilityVector) -> Capacity:
     """The additive capacity ``A -> p(A)`` of a single probability vector."""
-    vals = [min(x, 1) for x in p.mass_table()]
-    vals[0] = 0
-    vals[-1] = 1
-    return Capacity(p.space, vals, check=False)
+    return upper_envelope((p,))
 
 
 def vacuous_capacity(space: OutcomeSpace) -> Capacity:

@@ -48,18 +48,6 @@ class Functional:
         return Functional(self.space, vals)
 
 
-def pointwise_max(fs) -> Functional:
-    fs = list(fs)
-    space = fs[0].space
-    return Functional(space, tuple(max(f.values[i] for f in fs) for i in range(space.n)))
-
-
-def pointwise_min(fs) -> Functional:
-    fs = list(fs)
-    space = fs[0].space
-    return Functional(space, tuple(min(f.values[i] for f in fs) for i in range(space.n)))
-
-
 def choquet_upper(c: Capacity, f: Functional):
     """Layer-cake integral of ``f`` against the capacity itself."""
     if c.space != f.space:

@@ -129,8 +129,6 @@ def cmd_verify(args) -> int:
             f"the oracle's vertex enumeration on a 2-alternating prior "
             f"needs n <= {MAX_VERTEX_OUTCOMES}, got {n}",
         )
-    if is_core_empty(model.prior):
-        raise InfeasibleCore("the prior core is empty; no posterior exists")
     reports = verify_theorem(model.prior, model.likelihoods, masks)
     counts: dict[str, int] = {}
     max_gap = 0.0

@@ -26,7 +26,7 @@ def is_core_empty(c: Capacity) -> bool:
     verdicts near the boundary are settled in exact arithmetic.
     """
     try:
-        _solve_core(c, [0] * c.space.n, True, c.exact)
+        _solve_core(c, [0] * c.space.n, True)
     except InfeasibleCore:
         return True
     return False
@@ -39,6 +39,7 @@ def core_vertices_two_monotone(c: Capacity) -> tuple[ProbabilityVector, ...]:
     every outcome the increment of ``c`` along the ordering's prefixes.
     Duplicates collapse (componentwise 1e-12, exact in rational mode) and
     the result is sorted lexicographically so serialized output is stable.
+    Float mass below 0, from a decrease within 1e-12, is clipped to 0.0.
     """
     n = c.space.n
     if n > MAX_VERTEX_OUTCOMES:
@@ -64,7 +65,7 @@ def core_vertices_two_monotone(c: Capacity) -> tuple[ProbabilityVector, ...]:
             prev = cur
         key = tuple(mass) if exact else tuple(round(float(x), 12) for x in mass)
         if key not in seen:
-            seen[key] = tuple(mass)
+            seen[key] = tuple(mass) if min(mass) >= 0 else tuple(max(x, 0.0) for x in mass)
     return tuple(
         ProbabilityVector(c.space, mass) for mass in sorted(seen.values())
     )

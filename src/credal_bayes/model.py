@@ -82,7 +82,7 @@ def _expect(obj, path: str, typ, what: str):
 def _check_version(obj) -> None:
     """Both file kinds are a JSON object with ``"version": 1``."""
     _expect(obj, "$", dict, "a JSON object")
-    if obj.get("version") != 1:
+    if type(obj.get("version")) is not int or obj["version"] != 1:
         _fail("$.version", "missing or unsupported version (expected 1)")
 
 

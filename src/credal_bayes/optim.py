@@ -8,9 +8,9 @@ is solved by Kelley's cutting planes. Each round solves the simplex row
 plus an active set of events from scratch, then scans the solution's
 event masses for the most violated event not yet active and adds it.
 The loop stops when no event is violated beyond 1e-12 (exactly nothing
-in rational mode), which usually takes a handful of rows. Fast mode
-solves in floats; when both the capacity and the objective are exact
-rationals the program is solved exactly.
+in rational mode), which usually takes a handful of rows. The numbers
+decide the mode: when the capacity, the objective and the equality rows
+are all exact the program is solved in rationals, otherwise in floats.
 
 Emptiness detection never flaps: a float phase 1 that lands within 1e-7
 of the feasibility boundary is re-adjudicated with exact rationals on
@@ -20,8 +20,9 @@ the exact binary values of the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from ._numeric import OPT_TOL, struct_tol, to_fraction
+from ._numeric import OPT_TOL, all_exact, struct_tol, to_fraction
 from ._simplex import LPSolution, solve
 from .capacity import Capacity, OutcomeSpace, ProbabilityVector, event_mass_table
 from .choquet import Functional
@@ -54,16 +55,18 @@ def most_violated_event(c: Capacity, mass, tol, skip=()) -> int | None:
     return worst if gaps[worst] > tol else None
 
 
-def core_lp(c: Capacity, objective, a_eq, b_eq, maximize: bool, exact: bool,
+def core_lp(c: Capacity, objective, a_eq, b_eq, maximize: bool,
             scaled: bool = False) -> LPSolution:
     """Optimize over the core of ``c`` by cutting planes.
 
     The first ``n`` variables are the prior. With ``scaled`` the next one
     is a scale t and the domination rows read sum_{i in B} y_i <= c(B) t;
     the scan then checks y / t. ``a_eq``/``b_eq`` carry the simplex row
-    and anything else the caller needs.
+    and anything else the caller needs. The program is exact when ``c``,
+    the objective and the equality rows all are, and float otherwise.
     """
     n = c.space.n
+    exact = c.exact and all_exact(chain(objective, b_eq, *a_eq))
     tol = struct_tol(exact)
     num = to_fraction if exact else float
     objective = [num(v) for v in objective]
@@ -89,14 +92,15 @@ def core_lp(c: Capacity, objective, a_eq, b_eq, maximize: bool, exact: bool,
             b_ub.append(c.values[m])
 
 
-def _solve_core(c: Capacity, objective, maximize: bool, exact: bool):
-    """Shared LP path; falls back to exact arithmetic near the feasibility
-    boundary so empty-core verdicts are stable."""
+def _solve_core(c: Capacity, objective, maximize: bool):
+    """Shared LP path; a float program found infeasible near the boundary
+    is re-solved in rationals, so empty-core verdicts are stable."""
     n = c.space.n
-    sol = core_lp(c, objective, [[1] * n], [1], maximize, exact)
-    if sol.status == "infeasible" and not exact and sol.infeasibility <= AMBIGUOUS_FEAS:
+    sol = core_lp(c, objective, [[1] * n], [1], maximize)
+    res = sol.infeasibility
+    if sol.status == "infeasible" and isinstance(res, float) and res <= AMBIGUOUS_FEAS:
         exact_c = Capacity(c.space, tuple(map(to_fraction, c.values)), check=False)
-        sol = core_lp(exact_c, objective, [[1] * n], [1], maximize, True)
+        sol = core_lp(exact_c, list(map(to_fraction, objective)), [[1] * n], [1], maximize)
         if sol.status == "optimal":
             sol = LPSolution(
                 sol.status,
@@ -105,13 +109,13 @@ def _solve_core(c: Capacity, objective, maximize: bool, exact: bool):
                 float(sol.infeasibility),
             )
     if sol.status == "infeasible":
-        raise InfeasibleCore("the capacity dominates no probability vector")
+        raise InfeasibleCore("the prior core is empty; no posterior exists")
     return sol
 
 
-def _vector_from_solution(space: OutcomeSpace, x, exact: bool) -> ProbabilityVector:
+def _vector_from_solution(space: OutcomeSpace, x) -> ProbabilityVector:
     """The prior at an LP optimum: float mass is clipped at 0 and renormalised."""
-    if exact:
+    if all_exact(x):
         return ProbabilityVector(space, tuple(x))
     mass = [v if v > 0 else 0.0 for v in x]
     total = sum(mass)
@@ -123,9 +127,8 @@ def _vector_from_solution(space: OutcomeSpace, x, exact: bool) -> ProbabilityVec
 def _expectation(c: Capacity, f: Functional, maximize: bool) -> ExpectationBound:
     if c.space != f.space:
         raise ValueError("capacity and functional live on different spaces")
-    exact = c.exact and f.exact
-    sol = _solve_core(c, list(f.values), maximize, exact)
-    argmax = _vector_from_solution(c.space, sol.x, exact)
+    sol = _solve_core(c, f.values, maximize)
+    argmax = _vector_from_solution(c.space, sol.x)
     return ExpectationBound(sol.value, argmax)
 
 

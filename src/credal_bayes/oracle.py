@@ -14,7 +14,7 @@ likelihood: the standard substitution y = p/evidence, t = 1/evidence
 turns the ratio into a linear objective over the cutting-plane loop of
 :mod:`.optim`, and the optimal basic solution maps back to a core vertex.
 :func:`verify_theorem` checks a list of events and their complements
-with one oracle call and one bounds call.
+with one bounds call, then one oracle call.
 
 Extreme likelihoods are the members of a family, or for a band the
 switch vectors equal to the upper envelope on some event B and the lower
@@ -30,7 +30,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 
-from ._numeric import encode_number, opt_tol
+from ._numeric import encode_number, opt_tol, quotient
 from .bayes import (
     EqualityDiagnosis,
     LikelihoodSet,
@@ -68,7 +68,7 @@ def precise_posterior(p: ProbabilityVector, L: Functional, event: int):
             num += w
     if den <= 0:
         raise ZeroEvidence("total evidence is zero; the update is undefined")
-    return num / den
+    return quotient(num, den)
 
 
 def extreme_likelihoods(likelihoods: LikelihoodSet, event: int):
@@ -143,14 +143,13 @@ def _fractional_lp(prior: Capacity, e: Functional, event: int):
     evidence for this likelihood.
     """
     n = prior.space.n
-    exact = prior.exact and e.exact
     a_eq = [[1] * n + [-1], list(e.values) + [0]]
     obj = [e.values[i] if event >> i & 1 else 0 for i in range(n)] + [0]
-    sol = core_lp(prior, obj, a_eq, [0, 1], maximize=True, exact=exact, scaled=True)
+    sol = core_lp(prior, obj, a_eq, [0, 1], maximize=True, scaled=True)
     if sol.status == "infeasible":
         return None
     t = sol.x[n]
-    vertex = _vector_from_solution(prior.space, [v / t for v in sol.x[:n]], exact)
+    vertex = _vector_from_solution(prior.space, [v / t for v in sol.x[:n]])
     # Report the ratio recomputed at the extracted vertex, not the raw LP
     # objective, so the achieving pair reproduces the value bit for bit.
     return precise_posterior(vertex, e, event), vertex
@@ -160,8 +159,9 @@ def verify_theorem(prior: Capacity, likelihoods: LikelihoodSet, masks) -> list[P
     """Full report per mask: oracle values, both bounds on both sides,
     the chain assertion and the equality diagnosis.
 
-    The masks and their complements are checked by one oracle call and
-    one :func:`bounds_report` call. Raises :class:`ChainViolation` at the
+    The masks and their complements are checked by one
+    :func:`bounds_report` call, whose first LP finds an empty core, and
+    then one oracle call. Raises :class:`ChainViolation` at the
     first mask whose oracle exceeds a bound or whose bounds cross; that
     is always treated as a defect first. Every comparison runs at the
     optimization tolerance of the arithmetic mode: 0 in exact mode.
@@ -170,8 +170,8 @@ def verify_theorem(prior: Capacity, likelihoods: LikelihoodSet, masks) -> list[P
     space = prior.space
     masks = list(masks)
     sides = list(dict.fromkeys(s for m in masks for s in (m, space.complement(m))))
-    oracle = dict(zip(sides, brute_force_upper(prior, likelihoods, sides)))
     bounds = dict(zip(sides, bounds_report(prior, likelihoods, sides)))
+    oracle = dict(zip(sides, brute_force_upper(prior, likelihoods, sides)))
 
     reports = []
     for event in masks:

@@ -98,7 +98,7 @@ class TestValidate:
             validate({0: 0, 0b01: 0.2, 0b10: 0.3, 0b11: 0.9}, SP2)
 
     def test_wrong_entry_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^expected one value per event mask 0\.\.3$"):
             validate({0: 0, 3: 1}, SP2)
 
 

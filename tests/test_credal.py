@@ -125,6 +125,14 @@ class TestVertices:
         with pytest.raises(SpaceTooLarge):
             core_vertices_two_monotone(vacuous_capacity(_space(11)))
 
+    def test_space_cap_is_inclusive(self, monkeypatch):
+        from credal_bayes import credal
+
+        monkeypatch.setattr(credal, "MAX_VERTEX_OUTCOMES", 3)
+        assert len(core_vertices_two_monotone(vacuous_capacity(_space(3)))) == 3
+        with pytest.raises(SpaceTooLarge, match="needs n <= 3, got 4"):
+            core_vertices_two_monotone(vacuous_capacity(_space(4)))
+
     def test_every_vertex_in_core(self):
         rng = Random(17)
         for _ in range(25):

@@ -265,6 +265,17 @@ class TestVerify:
         code, out, _ = _run(["verify", path])
         assert code == 0
         assert "ProvenEqual" in out
+        # Valid within 1e-12 only: c({a}) exceeds c(Omega) by 1e-13, so
+        # one marginal vector's mass on b is -1e-13 before the clip.
+        doc = _base_model()
+        doc["outcomes"] = ["a", "b"]
+        doc["prior"] = {"kind": "explicit",
+                        "values": {"": 0, "a": 1.0000000000001, "b": 0.5, "a,b": 1}}
+        doc["likelihood"] = {"band": {"lower": [0.5, 0.5], "upper": [1, 1]}}
+        doc["events"] = [["a"]]
+        code, out, err = _run(["verify", _write(tmp_path, doc, "near.json")])
+        assert (code, err) == (0, "")
+        assert "Traceback" not in err and "ProvenEqual" in out
 
     def test_random_campaign_deterministic(self):
         a = _run(["verify", "--random", "25", "--seed", "11", "--family", "distortion", "--json"])
@@ -501,6 +512,58 @@ class TestErrorPaths:
         code, out, err = _run(["verify", path])
         assert (code, out) == (2, "")
         assert err.startswith("validation error: $: invalid JSON in ")
+
+
+    def test_all_zero_evidence_is_an_undefined_ratio(self, tmp_path):
+        """Every (prior, likelihood) pair has zero evidence: verify meets the
+        vanished denominator in its bounds first, as update does."""
+        doc = _base_model()
+        doc["prior"] = {"kind": "eps-contamination", "p": ["1/2", "1/4", "1/4"], "eps": "1/5"}
+        doc["likelihood"] = {"band": {"lower": [0, 0, 0], "upper": [0, 0, 0]}}
+        doc["options"] = {"exact": True}
+        path = _write(tmp_path, doc)
+        for command in ("update", "verify"):
+            code, out, err = _run([command, path])
+            assert (code, out) == (3, "")
+            assert err == "undefined ratio: denominator vanished for event 't1'\n"
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_integer_model_prints_no_float(tmp_path, exact):
+    """A model written only in integers is exact in either mode, so no
+    record of update, verify or iterate holds a float."""
+    doc = {
+        "version": 1,
+        "outcomes": ["a", "b", "c"],
+        "prior": {"kind": "envelope", "vertices": [[1, 0, 0], [0, 1, 0]]},
+        "likelihood": {"band": {"lower": [1, 2, 3], "upper": [1, 2, 3]}},
+        "events": [["a"], ["b", "c"]],
+        "options": {"exact": exact},
+    }
+    mp = _write(tmp_path, doc)
+    obs = {"version": 1, "observations": [{"band": {"lower": [1, 2, 3], "upper": [1, 2, 3]}},
+                                          {"band": {"lower": [2, 1, 1], "upper": [3, 1, 1]}}]}
+    op = _write(tmp_path, obs, "obs.json")
+
+    def floats(node):
+        if isinstance(node, dict):
+            return [f for v in node.values() for f in floats(v)]
+        if isinstance(node, list):
+            return [f for v in node for f in floats(v)]
+        return [node] if isinstance(node, float) else []
+
+    for argv in (["update", mp, "--json"], ["update", mp, "--sweep", "--json"],
+                 ["iterate", mp, op, "--json"], ["verify", mp, "--json"]):
+        code, out, err = _run(argv)
+        assert code == 0, err
+        if argv[0] == "verify":  # the summary line's gap is a float by design
+            docs = [json.loads(line) for line in out.splitlines()[:-1]]
+        else:
+            docs = [json.loads(out)]
+        assert docs and floats(docs) == [], argv
+    code, out, _ = _run(["update", mp, "--json"])
+    rec = json.loads(out)["events"][0]
+    assert (rec["upper_vertex"], rec["upper_choquet"], rec["lower_choquet"]) == ("1/1", "1/1", "0/1")
 
 
 class TestEqualityClausePerEvent:

@@ -139,6 +139,10 @@ REJECTED = {
     "observations-version-7": ("observations", {"version": 7, "observations": [BAND]}, "$.version"),
     "observations-no-version": ("observations", {"observations": [BAND]}, "$.version"),
     "observations-not-an-object": ("observations", [BAND], "$"),
+    "observations-version-true": ("observations", {"version": True, "observations": [BAND]}, "$.version"),
+    "observations-version-1.0": ("observations", {"version": 1.0, "observations": [BAND]}, "$.version"),
+    "model-version-true": ("model", {**_model(CONTAMINATION), "version": True}, "$.version"),
+    "model-version-1.0": ("model", {**_model(CONTAMINATION), "version": 1.0}, "$.version"),
     "exact-not-a-boolean": ("model", _model(CONTAMINATION, exact="yes"), "$.options.exact"),
     "band-and-family": ("model", _model(CONTAMINATION, {**BAND, **FAMILY}), "$.likelihood"),
     "not-a-number": ("model", _model({**CONTAMINATION, "eps": None}), "$.prior.eps"),

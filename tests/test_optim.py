@@ -150,7 +150,7 @@ class TestOptimizer:
             c = random_contamination(rng, space)
             f = _random_functional(rng, space)
             n = space.n
-            neg = core_lp(c, [-v for v in f.values], [[1] * n], [1], True, exact=False)
+            neg = core_lp(c, [-v for v in f.values], [[1] * n], [1], True)
             assert inf_expectation(c, f).value == pytest.approx(-neg.value, abs=1e-9)
 
 

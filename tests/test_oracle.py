@@ -35,9 +35,14 @@ from credal_bayes.campaign import (
     random_query,
     run_campaign,
 )
-from credal_bayes.choquet import pointwise_max, pointwise_min
 from credal_bayes.credal import core_vertices_two_monotone
-from credal_bayes.errors import AllZeroEvidence, ChainViolation, SpaceTooLarge, ZeroEvidence
+from credal_bayes.errors import (
+    AllZeroEvidence,
+    ChainViolation,
+    InfeasibleCore,
+    SpaceTooLarge,
+    ZeroEvidence,
+)
 from credal_bayes.optim import most_violated_event
 from credal_bayes.oracle import bang_bang_likelihood, query_hash
 
@@ -280,6 +285,32 @@ class TestVerify:
                     batch = verify_theorem(prior, lik, masks)
                     assert batch == [verify_theorem(prior, lik, [m])[0] for m in masks]
 
+    def test_empty_core_raises_from_the_first_lp(self):
+        """verify_theorem learns of an empty core from its bounds, as
+        bounds_report does, not from the oracle as zero evidence."""
+        sp2 = _space(2)
+        empty = Capacity(sp2, (0, 0.2, 0.2, 1))
+        band = LikelihoodSet.precise(Functional(sp2, (0.5, 0.5)))
+        for run in (bounds_report, verify_theorem):
+            with pytest.raises(InfeasibleCore, match="the prior core is empty"):
+                run(empty, band, [1])
+
+    def test_exact_unproven_event_with_equal_values_is_numerically_equal(self):
+        """The family holds e_A but not e_{A^c}, so nothing proves {a}; the
+        oracle, vertex and Choquet values are all 81/89."""
+        prior = epsilon_contamination(
+            ProbabilityVector(SP3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
+            Fraction(1, 5),
+        )
+        family = LikelihoodSet.family(
+            Functional(SP3, tuple(map(Fraction, v.split())))
+            for v in ("9/10 1/10 1/5", "1/5 4/5 1/2", "1/2 1/2 9/10")
+        )
+        assert family.holds_switch_vector(0b001) and not family.holds_switch_vector(0b110)
+        (rep,) = verify_theorem(prior, family, [0b001])
+        assert rep.oracle == rep.bound_vertex == rep.bound_choquet == Fraction(81, 89)
+        assert rep.equality_diagnosis is EqualityDiagnosis.NUMERICALLY_EQUAL
+
     def test_hash_is_stable_and_content_sensitive(self):
         q1 = random_query(Random(139), "contamination")
         q2 = random_query(Random(139), "contamination")
@@ -301,7 +332,8 @@ def _family_holding_both_envelopes(rng, space, exact):
         Functional(space, tuple(draw() for _ in range(space.n)))
         for _ in range(rng.randint(1, 3))
     ]
-    return LikelihoodSet.family([*members, pointwise_max(members), pointwise_min(members)])
+    hull = LikelihoodSet.family(members)
+    return LikelihoodSet.family([*members, hull.upper, hull.lower])
 
 
 def test_family_campaign_claims_equality_only_at_member_switch_vectors():
@@ -329,6 +361,70 @@ def test_family_campaign_claims_equality_only_at_member_switch_vectors():
                 elif rep.equality_diagnosis is EqualityDiagnosis.STRICT_GAP:
                     concave_gaps += bool(is_two_alternating(prior))
     assert proven > 100 and concave_gaps > 100
+
+
+def _weights(rng, k, exact):
+    raw = [rng.randint(1, 20) if exact else rng.uniform(0.05, 1.0) for _ in range(k)]
+    return [Fraction(w, sum(raw)) if exact else w / sum(raw) for w in raw]
+
+
+def random_plausibility(rng, space, exact):
+    """Pl(A) = sum of m(F) over the focal sets F that meet A, for random
+    Moebius masses m on 2 to 8 random focal sets; infinitely alternating.
+    c(Omega) is set to 1, so a float Pl may exceed it by a rounding."""
+    focal = [rng.randint(1, space.full_mask) for _ in range(rng.randint(2, 8))]
+    mass = list(zip(focal, _weights(rng, len(focal), exact)))
+    values = [sum((m for f, m in mass if f & a), 0) for a in range(space.size)]
+    values[-1] = 1
+    return Capacity(space, values)
+
+
+def random_concave_mixture(rng, space, exact):
+    """sum_k w_k phi_k(p_k(A)) with phi(x) = min(1, lambda x) in exact mode
+    and x ** alpha in float mode: each term is 2-alternating, so the sum is."""
+    values = [0] * space.size
+    for w in _weights(rng, rng.randint(1, 3), exact):
+        table = random_probability_vector(rng, space, exact).mass_table()
+        if exact:
+            lam = Fraction(rng.randint(4, 16), 4)
+            phi = [min(1, lam * x) for x in table]
+        else:
+            alpha = rng.uniform(0.2, 1.0)
+            phi = [min(1, x ** alpha) for x in table]
+        values = [v + w * t for v, t in zip(values, phi)]
+    values[0], values[-1] = 0, 1
+    return Capacity(space, values)
+
+
+@pytest.mark.parametrize("exact, count", [(True, 8), (False, 25)])
+@pytest.mark.parametrize("generator", [random_plausibility, random_concave_mixture])
+def test_equality_clause_beyond_the_campaign_families(generator, exact, count):
+    """2-alternating priors that are neither contaminations nor power
+    distortions, on every proper event. With a band every event is
+    ProvenEqual. With a family that holds only some switch vectors, an
+    event whose e_A is a member has its upper bound attained, and only
+    events whose e_A and e_{A^c} are both members are ProvenEqual."""
+    rng = Random(4)
+    attained = 0
+    for _ in range(count):
+        space = _space(rng.randint(2, 5))
+        prior = generator(rng, space, exact)
+        assert is_two_alternating(prior)
+        events = range(1, space.full_mask)
+        band = random_band(rng, space, exact)
+        for rep in verify_theorem(prior, band, events):
+            assert rep.equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL
+        family = _family_holding_both_envelopes(rng, space, exact)
+        for rep in verify_theorem(prior, family, events):
+            holds = family.holds_switch_vector(rep.event)
+            both = holds and family.holds_switch_vector(space.complement(rep.event))
+            assert (rep.equality_diagnosis is EqualityDiagnosis.PROVEN_EQUAL) == both
+            if holds:
+                assert rep.equality_diagnosis in (
+                    EqualityDiagnosis.PROVEN_EQUAL, EqualityDiagnosis.NUMERICALLY_EQUAL
+                )
+                attained += 1
+    assert attained > count
 
 
 def _chain_instance():
